@@ -28,14 +28,7 @@ from .dynamics import (
     sweep,
     verify_suite,
 )
-from .measures import (
-    OptimizerSettings,
-    classical_correlation,
-    concurrence,
-    geometric_discord,
-    mutual_information,
-    quantum_discord,
-)
+from .measures import OptimizerSettings, oracle_values
 from .dynamics import _CLOSED as _CLOSED_MEASURES
 from .states import initial_state, make_params, state_to_json
 
@@ -142,20 +135,11 @@ def _measure_table(
     settings: OptimizerSettings,
     closed: Optional[dict[str, float]] = None,
 ) -> dict[str, dict[str, Optional[float]]]:
-    oracle_fns = {
-        "concurrence": lambda r: concurrence(r).value,
-        "geometric_discord": lambda r: geometric_discord(r).value,
-        "quantum_discord": lambda r: quantum_discord(r, settings=settings).value,
-        "mutual_information": lambda r: mutual_information(r).value,
-        "classical_correlation": lambda r: classical_correlation(r, settings=settings).value,
+    oracle = oracle_values(rho, measures, settings)
+    return {
+        name: {"closed": None if closed is None else closed.get(name), "oracle": oracle[name]}
+        for name in measures
     }
-    table: dict[str, dict[str, Optional[float]]] = {}
-    for name in measures:
-        table[name] = {
-            "closed": None if closed is None else closed.get(name),
-            "oracle": oracle_fns[name](rho),
-        }
-    return table
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -29,14 +29,13 @@ from .channels import (
 from .measures import (
     MeasureResult,
     OptimizerSettings,
-    classical_correlation,
     classical_correlation_closed,
     concurrence,
     concurrence_closed,
     geometric_discord,
     geometric_discord_closed,
-    mutual_information,
     mutual_information_closed,
+    oracle_values,
     quantum_discord,
     quantum_discord_closed,
     quantum_discord_xz_expanded,
@@ -111,18 +110,6 @@ _CLOSED: dict[str, Callable[[StateParams, ChannelSpec, float], MeasureResult]] =
 MEASURE_NAMES: tuple[str, ...] = tuple(_CLOSED)
 
 
-def _oracle_value(name: str, rho: np.ndarray, settings: OptimizerSettings | None) -> float:
-    if name == "concurrence":
-        return concurrence(rho).value
-    if name == "geometric_discord":
-        return geometric_discord(rho).value
-    if name == "quantum_discord":
-        return quantum_discord(rho, settings=settings).value
-    if name == "mutual_information":
-        return mutual_information(rho).value
-    return classical_correlation(rho, settings=settings).value
-
-
 def sweep(
     grid: SweepGrid,
     axes: Sequence[str] = ("x", "y", "z"),
@@ -135,14 +122,33 @@ def sweep(
 ) -> list[SweepRow]:
     """Evaluate closed-form measures (and optionally the oracles) over the
     grid.  Rows are ordered measure-major, then channel, theta, time; with
-    threads > 1 the oracle evaluations run on a thread pool but the row order
-    is unchanged."""
+    threads > 1 the evaluations run on a thread pool but the row order is
+    unchanged.  With oracles, each (channel, theta, time) state is evolved
+    once and every measure is read from it, the two entropic measures from
+    one optimizer run."""
     for name in measures:
         if name not in _CLOSED:
             raise ValueError(f"unknown measure {name!r}; choose from {sorted(_CLOSED)}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     channels = {axis: ChannelSpec(axis=axis, gamma=gamma, qubit=noisy_qubit) for axis in axes}
+
+    def parallel_map(fn: Callable, items: list) -> list:
+        if threads == 1:
+            return [fn(item) for item in items]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+
+    oracles: dict[tuple[str, float, float], dict[str, float]] = {}
+    if include_oracle:
+        states = [(axis, theta, t) for axis in axes for theta in grid.thetas for t in grid.times]
+
+        def evaluate(state: tuple[str, float, float]) -> dict[str, float]:
+            axis, theta, t = state
+            rho = kraus_apply(initial_state(make_params(theta)), channels[axis], t)
+            return oracle_values(rho, measures, optimizer)
+
+        oracles = dict(zip(states, parallel_map(evaluate, states)))
 
     jobs: list[tuple[str, str, float, float]] = [
         (name, axis, theta, t)
@@ -157,23 +163,16 @@ def sweep(
         channel = channels[axis]
         params = make_params(theta)
         closed = _CLOSED[name](params, channel, t).value
-        oracle: Optional[float] = None
-        if include_oracle:
-            rho = kraus_apply(initial_state(params), channel, t)
-            oracle = _oracle_value(name, rho, optimizer)
         return SweepRow(
             channel=axis,
             measure=name,
             theta=theta,
             gamma_t=channel.gamma * t,
             value_closed=closed,
-            value_oracle=oracle,
+            value_oracle=oracles[(axis, theta, t)][name] if include_oracle else None,
         )
 
-    if threads == 1:
-        return [build(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(build, jobs))
+    return parallel_map(build, jobs)
 
 
 # ---------------------------------------------------------------------------

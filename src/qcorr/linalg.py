@@ -10,9 +10,11 @@ __all__ = [
     "PAULI_Y",
     "PAULI_Z",
     "PAULIS",
+    "PAULI_BASIS",
     "dag",
     "tensor",
     "partial_trace",
+    "pauli_coefficients",
     "is_hermitian",
     "hermitian_eigen",
     "clamp_spectrum",
@@ -25,6 +27,11 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
+
+# sigma_i (x) sigma_j for i, j in (I, x, y, z), stored at index 4 i + j
+PAULI_BASIS = np.array([np.kron(a, b) for a in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
+                        for b in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)])
+PAULI_BASIS.setflags(write=False)
 
 # Eigenvalues this close to zero are treated as exact zeros (the state family
 # is rank-deficient by construction, so dust of this size is always noise).
@@ -64,6 +71,14 @@ def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
     if keep == "A":
         return np.einsum("abcb->ac", r)
     return np.einsum("abad->bd", r)
+
+
+def pauli_coefficients(rho: np.ndarray) -> np.ndarray:
+    """Real 4x4 array R with R[i, j] = Re tr(rho sigma_i (x) sigma_j), where
+    sigma_0 = I; for a density matrix R[0, 0] = 1, R[1:, 0] and R[0, 1:] are
+    the local Bloch vectors of A and B, and R[1:, 1:] is the correlation
+    matrix."""
+    return np.einsum("kij,ji->k", PAULI_BASIS, rho).real.reshape(4, 4)
 
 
 def is_hermitian(m: np.ndarray, tol: float = 1e-10) -> bool:

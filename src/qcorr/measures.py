@@ -9,35 +9,41 @@ projective measurements on one side, using a deterministic Fibonacci-sphere
 grid followed by coordinate-descent refinement; there is no randomness
 anywhere, so repeated runs agree bit for bit on one platform.
 
+The conditional entropy is evaluated in Bloch form, which holds for any
+two-qubit state: with rho = (1/4)(I + a.sigma x I + I x b.sigma +
+sum_ij T_ij sigma_i x sigma_j), measuring A along the unit vector n gives
+outcome +-1 with probability p = (1 +- a.n)/2 and leaves B with the Bloch
+vector r = (b +- T^T n)/(2p), whose entropy is h((1 + |r|)/2).  Measuring B
+swaps a and b and uses T in place of T^T.
+
 All entropies are base 2 (bits).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .channels import ChannelSpec, analytic_evolve, decay_factor, evolution_point
 from .linalg import (
-    PAULI_I,
-    PAULI_X,
     PAULI_Y,
-    PAULI_Z,
     ZERO_EIGENVALUE_TOL,
     binary_entropy,
     clamp_spectrum,
     dag,
     hermitian_eigen,
     partial_trace,
-    tensor,
+    pauli_coefficients,
     von_neumann_entropy,
 )
 from .states import InvalidStateError, StateParams, bloch_decompose, validate_density_matrix
 
 __all__ = [
     "MeasureResult",
+    "MAX_GRID_POINTS",
     "OptimizerSettings",
     "OptimizerDiagnostics",
     "wootters_score",
@@ -57,6 +63,7 @@ __all__ = [
     "quantum_discord_xz_expanded",
     "quantum_discord_y_expanded",
     "closed_spectrum",
+    "oracle_values",
 ]
 
 _SPIN_FLIP = np.kron(PAULI_Y, PAULI_Y)
@@ -72,23 +79,42 @@ class MeasureResult:
     optimizer: Optional["OptimizerDiagnostics"] = None
 
 
+MAX_GRID_POINTS = 2**20
+
+
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Knobs for the measurement-sphere search."""
+    """Knobs for the measurement-sphere search; bad values raise ValueError."""
 
     grid_points: int = 1024
     final_tolerance: float = 1e-7
     max_passes: int = 60
 
+    def __post_init__(self) -> None:
+        if not 32 <= self.grid_points <= MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid_points must be in [32, {MAX_GRID_POINTS}], got {self.grid_points}"
+            )
+        if not self.final_tolerance >= 0.0:
+            raise ValueError(f"final_tolerance must be >= 0, got {self.final_tolerance}")
+        if self.max_passes < 1:
+            raise ValueError(f"max_passes must be >= 1, got {self.max_passes}")
+
 
 @dataclass(frozen=True)
 class OptimizerDiagnostics:
-    """Where the sphere search ended up and how hard it worked."""
+    """Where the sphere search ended up and how hard it worked.
+
+    evaluations counts objective evaluations (grid plus line searches);
+    final_window is the half-width in radians of the last pass's line
+    searches."""
 
     best_direction: tuple[float, float, float]
     grid_points: int
     refinement_iterations: int
     final_tolerance: float
+    evaluations: int
+    final_window: float
 
 
 def _finalize(value: float) -> float:
@@ -357,55 +383,75 @@ def quantum_discord_y_expanded(params: StateParams, channel: ChannelSpec, t: flo
 # measurement-sphere optimizer
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=8)
 def _fibonacci_sphere(n: int) -> np.ndarray:
-    """n deterministic, roughly equidistributed unit vectors."""
+    """n deterministic, roughly equidistributed unit vectors (read-only)."""
     golden = (1.0 + math.sqrt(5.0)) / 2.0
     i = np.arange(n)
     z = 1.0 - (2.0 * i + 1.0) / n
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     phi = 2.0 * np.pi * i / golden
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+    dirs = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+    dirs.setflags(write=False)
+    return dirs
 
 
-def _batch_entropy_2x2(m: np.ndarray) -> np.ndarray:
-    """Entropies (bits) of a batch of 2x2 Hermitian PSD matrices."""
-    w = np.linalg.eigvalsh(m)
-    w = np.where(np.abs(w) <= ZERO_EIGENVALUE_TOL, 0.0, w)
-    w = np.clip(w, 0.0, None)
-    terms = np.where(w > 0.0, -w * np.log2(np.where(w > 0.0, w, 1.0)), 0.0)
-    return terms.sum(axis=-1)
+def _side_bloch(rho: np.ndarray, measured_side: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, T) with a the measured qubit's Bloch vector, b the unmeasured
+    one's, and T the correlation matrix indexed [measured, unmeasured]."""
+    r = pauli_coefficients(rho)
+    if measured_side == "A":
+        return r[1:, 0], r[0, 1:], r[1:, 1:]
+    return r[0, 1:], r[1:, 0], r[1:, 1:].T
 
 
-def _conditional_entropy_batch(rho: np.ndarray, dirs: np.ndarray, side: str) -> np.ndarray:
+def _bloch_entropy(radius: np.ndarray) -> np.ndarray:
+    """Entropies (bits) of qubit states with Bloch vectors of length radius."""
+    w = 0.5 * (1.0 + np.stack([-radius, radius]))
+    keep = w > ZERO_EIGENVALUE_TOL
+    return np.where(keep, -w * np.log2(np.where(keep, w, 1.0)), 0.0).sum(axis=0)
+
+
+def _conditional_entropy_batch(
+    a: np.ndarray, b: np.ndarray, T: np.ndarray, dirs: np.ndarray
+) -> np.ndarray:
     """Average post-measurement entropy of the unmeasured qubit for every
-    measurement direction in dirs (shape (n, 3))."""
-    n = dirs.shape[0]
-    proj = 0.5 * (
-        np.broadcast_to(PAULI_I, (n, 2, 2))
-        + dirs[:, 0, None, None] * PAULI_X
-        + dirs[:, 1, None, None] * PAULI_Y
-        + dirs[:, 2, None, None] * PAULI_Z
-    )
-    total = np.zeros(n)
+    measurement direction n in dirs (shape (k, 3)), from _side_bloch data."""
+    an = dirs @ a
+    tn = dirs @ T
+    total = np.zeros(dirs.shape[0])
     for sign in (1.0, -1.0):
-        p_meas = proj if sign > 0 else (PAULI_I[None] - proj)
-        if side == "A":
-            M = np.einsum("nab,cd->nacbd", p_meas, PAULI_I).reshape(n, 4, 4)
-        else:
-            M = np.einsum("ab,ncd->nacbd", PAULI_I, p_meas).reshape(n, 4, 4)
-        sub = M @ rho @ M
-        p = np.einsum("nii->n", sub).real
-        r = sub.reshape(n, 2, 2, 2, 2)
-        cond = np.einsum("nabcb->nac", r) if side == "B" else np.einsum("nabad->nbd", r)
-        safe_p = np.where(p > 1e-14, p, 1.0)
-        entropies = _batch_entropy_2x2(cond / safe_p[:, None, None])
-        total += np.where(p > 1e-14, p * entropies, 0.0)
+        p = 0.5 * (1.0 + sign * an)
+        live = p > 1e-14
+        radius = np.linalg.norm(b + sign * tn, axis=1) / (2.0 * np.where(live, p, 1.0))
+        total += np.where(live, p * _bloch_entropy(radius), 0.0)
     return total
 
 
-def _direction(theta_s: float, phi_s: float) -> np.ndarray:
+def _conditional_entropy_scalar(a: list, b: list, T: list, n: tuple) -> float:
+    """_conditional_entropy_batch for one direction in scalar arithmetic; a, b
+    and n are three floats each and T is a list of three rows."""
+    n0, n1, n2 = n
+    an = a[0] * n0 + a[1] * n1 + a[2] * n2
+    t0 = T[0][0] * n0 + T[1][0] * n1 + T[2][0] * n2
+    t1 = T[0][1] * n0 + T[1][1] * n1 + T[2][1] * n2
+    t2 = T[0][2] * n0 + T[1][2] * n1 + T[2][2] * n2
+    total = 0.0
+    for sign in (1.0, -1.0):
+        p = 0.5 * (1.0 + sign * an)
+        if p > 1e-14:
+            radius = math.hypot(b[0] + sign * t0, b[1] + sign * t1, b[2] + sign * t2) / (2.0 * p)
+            entropy = 0.0
+            for w in (0.5 * (1.0 - radius), 0.5 * (1.0 + radius)):
+                if w > ZERO_EIGENVALUE_TOL:
+                    entropy -= w * math.log2(w)
+            total += p * entropy
+    return total
+
+
+def _direction(theta_s: float, phi_s: float) -> tuple[float, float, float]:
     st = math.sin(theta_s)
-    return np.array([st * math.cos(phi_s), st * math.sin(phi_s), math.cos(theta_s)])
+    return (st * math.cos(phi_s), st * math.sin(phi_s), math.cos(theta_s))
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -448,12 +494,10 @@ def optimal_conditional_entropy(
     if measured_side not in _SIDE_NAMES:
         raise ValueError(f"measured_side must be 'A' or 'B', got {measured_side!r}")
     settings = settings or OptimizerSettings()
-    if settings.grid_points < 32:
-        raise ValueError(f"grid_points must be >= 32, got {settings.grid_points}")
-    rho = validate_density_matrix(rho)
+    a, b, T = _side_bloch(validate_density_matrix(rho), measured_side)
 
     dirs = _fibonacci_sphere(settings.grid_points)
-    values = _conditional_entropy_batch(rho, dirs, measured_side)
+    values = _conditional_entropy_batch(a, b, T, dirs)
     best_value = float(values.min())
     ties = dirs[values == best_value]
     best_dir = min(map(tuple, ties))
@@ -461,8 +505,13 @@ def optimal_conditional_entropy(
     theta_s = math.acos(max(-1.0, min(1.0, best_dir[2])))
     phi_s = math.atan2(best_dir[1], best_dir[0])
 
+    a_f, b_f, T_f = a.tolist(), b.tolist(), T.tolist()
+    evaluations = settings.grid_points
+
     def objective(th: float, ph: float) -> float:
-        return float(_conditional_entropy_batch(rho, _direction(th, ph)[None, :], measured_side)[0])
+        nonlocal evaluations
+        evaluations += 1
+        return _conditional_entropy_scalar(a_f, b_f, T_f, _direction(th, ph))
 
     window = 2.0 * 3.6 / math.sqrt(settings.grid_points)
     iterations = 0
@@ -475,18 +524,33 @@ def optimal_conditional_entropy(
             lambda ph: objective(theta_s, ph), phi_s - window, phi_s + window
         )
         iterations += 1
+        final_window = window
         window = max(window * 0.25, 1e-5)
         if previous - best_value < settings.final_tolerance:
             break
 
-    u = _direction(theta_s, phi_s)
     diag = OptimizerDiagnostics(
-        best_direction=(float(u[0]), float(u[1]), float(u[2])),
+        best_direction=_direction(theta_s, phi_s),
         grid_points=settings.grid_points,
         refinement_iterations=iterations,
         final_tolerance=settings.final_tolerance,
+        evaluations=evaluations,
+        final_window=final_window,
     )
     return MeasureResult(value=_finalize(best_value), method="oracle", optimizer=diag)
+
+
+def _classical_from(rho: np.ndarray, measured_side: str, sc: MeasureResult) -> MeasureResult:
+    other = "B" if measured_side == "A" else "A"
+    s_other = von_neumann_entropy(partial_trace(rho, other))
+    value = s_other - sc.value
+    return MeasureResult(value=_finalize(value), method="oracle", optimizer=sc.optimizer)
+
+
+def _discord_from(rho: np.ndarray, measured_side: str, sc: MeasureResult) -> MeasureResult:
+    s_measured = von_neumann_entropy(partial_trace(rho, measured_side))
+    value = s_measured - von_neumann_entropy(rho) + sc.value
+    return MeasureResult(value=_finalize(value), method="oracle", optimizer=sc.optimizer)
 
 
 def classical_correlation(
@@ -497,9 +561,7 @@ def classical_correlation(
     """CC = S(unmeasured marginal) - min conditional entropy."""
     rho = validate_density_matrix(rho)
     sc = optimal_conditional_entropy(rho, measured_side, settings)
-    other = "B" if measured_side == "A" else "A"
-    s_other = von_neumann_entropy(partial_trace(rho, other))
-    return MeasureResult(value=_finalize(s_other - sc.value), method="oracle", optimizer=sc.optimizer)
+    return _classical_from(rho, measured_side, sc)
 
 
 def quantum_discord(
@@ -514,6 +576,39 @@ def quantum_discord(
     """
     rho = validate_density_matrix(rho)
     sc = optimal_conditional_entropy(rho, measured_side, settings)
-    s_measured = von_neumann_entropy(partial_trace(rho, measured_side))
-    value = s_measured - von_neumann_entropy(rho) + sc.value
-    return MeasureResult(value=_finalize(value), method="oracle", optimizer=sc.optimizer)
+    return _discord_from(rho, measured_side, sc)
+
+
+# looked up at call time, so wrappers installed on this module see every call
+_DIRECT_ORACLES = {
+    "concurrence": lambda rho: concurrence(rho),
+    "geometric_discord": lambda rho: geometric_discord(rho),
+    "mutual_information": lambda rho: mutual_information(rho),
+}
+_OPTIMIZER_ORACLES = {
+    "quantum_discord": _discord_from,
+    "classical_correlation": _classical_from,
+}
+
+
+def oracle_values(
+    rho: np.ndarray, names: Sequence[str], settings: OptimizerSettings | None = None
+) -> dict[str, float]:
+    """Oracle value of each named measure on one state, qubit A measured.
+
+    quantum_discord and classical_correlation share one optimizer run, so
+    each gets the value its own function would return.
+    """
+    rho = validate_density_matrix(rho)
+    sc: MeasureResult | None = None
+    values: dict[str, float] = {}
+    for name in names:
+        if name in _OPTIMIZER_ORACLES:
+            if sc is None:
+                sc = optimal_conditional_entropy(rho, "A", settings)
+            values[name] = _OPTIMIZER_ORACLES[name](rho, "A", sc).value
+        elif name in _DIRECT_ORACLES:
+            values[name] = _DIRECT_ORACLES[name](rho).value
+        else:
+            raise ValueError(f"unknown measure {name!r}")
+    return values

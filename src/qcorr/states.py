@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULI_I, PAULIS, dag, hermitian_eigen, tensor
+from .linalg import PAULI_BASIS, dag, hermitian_eigen, pauli_coefficients
 
 __all__ = [
     "StateParams",
@@ -83,28 +83,18 @@ class BlochForm:
 def bloch_decompose(rho: np.ndarray) -> BlochForm:
     """Extract x_i = tr(rho sigma_i x I), y_i = tr(rho I x sigma_i),
     t_ij = tr(rho sigma_i x sigma_j)."""
-    rho = validate_density_matrix(rho)
-    axes = "xyz"
-    x = np.empty(3)
-    y = np.empty(3)
-    T = np.empty((3, 3))
-    for i, a in enumerate(axes):
-        x[i] = np.trace(rho @ tensor(PAULIS[a], PAULI_I)).real
-        y[i] = np.trace(rho @ tensor(PAULI_I, PAULIS[a])).real
-        for j, b in enumerate(axes):
-            T[i, j] = np.trace(rho @ tensor(PAULIS[a], PAULIS[b])).real
-    return BlochForm(x=x, y=y, T=T)
+    r = pauli_coefficients(validate_density_matrix(rho))
+    return BlochForm(x=r[1:, 0], y=r[0, 1:], T=r[1:, 1:])
 
 
 def bloch_compose(form: BlochForm) -> np.ndarray:
     """Rebuild the density matrix from Bloch data."""
-    rho = tensor(PAULI_I, PAULI_I).astype(complex)
-    for i, a in enumerate("xyz"):
-        rho += form.x[i] * tensor(PAULIS[a], PAULI_I)
-        rho += form.y[i] * tensor(PAULI_I, PAULIS[a])
-        for j, b in enumerate("xyz"):
-            rho += form.T[i, j] * tensor(PAULIS[a], PAULIS[b])
-    return rho / 4.0
+    r = np.empty((4, 4))
+    r[0, 0] = 1.0
+    r[1:, 0] = form.x
+    r[0, 1:] = form.y
+    r[1:, 1:] = form.T
+    return np.einsum("k,kij->ij", r.ravel(), PAULI_BASIS) / 4.0
 
 
 def validate_density_matrix(

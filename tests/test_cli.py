@@ -207,6 +207,16 @@ def test_computation_errors_exit_3(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "flags", [["--opt-tol", "-1"], ["--grid-points", "8"], ["--grid-points", str(2**20 + 1)]]
+)
+def test_bad_optimizer_settings_exit_3(capsys, flags):
+    # rejected when the settings are built, before any grid is allocated
+    code = main(["state", "--theta", "pi/4", "--measures", "quantum_discord", *flags])
+    assert code == 3
+    assert "error:" in capsys.readouterr().err
+
+
 def test_help_exits_cleanly(capsys):
     with pytest.raises(SystemExit) as err:
         main(["--help"])

@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 
 from qcorr.channels import ChannelSpec, kraus_apply
+from qcorr.dynamics import MEASURE_NAMES, SweepGrid, sweep
+from qcorr.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, ZERO_EIGENVALUE_TOL
 from qcorr.measures import (
+    MAX_GRID_POINTS,
     OptimizerSettings,
+    _conditional_entropy_batch,
+    _conditional_entropy_scalar,
+    _fibonacci_sphere,
+    _side_bloch,
     classical_correlation,
     classical_correlation_closed,
     closed_spectrum,
@@ -18,6 +25,7 @@ from qcorr.measures import (
     mutual_information,
     mutual_information_closed,
     optimal_conditional_entropy,
+    oracle_values,
     quantum_discord,
     quantum_discord_closed,
     quantum_discord_xz_expanded,
@@ -334,3 +342,158 @@ def test_measures_respect_bounds_on_random_states():
         assert 0.0 <= geometric_discord(rho).value <= 0.5 + 1e-12
         assert quantum_discord(rho).value >= 0.0
         assert classical_correlation(rho).value >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# the Bloch-vector kernel against the 4x4 projector route it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_entropy_2x2(m):
+    w = np.linalg.eigvalsh(m)
+    w = np.where(np.abs(w) <= ZERO_EIGENVALUE_TOL, 0.0, w)
+    w = np.clip(w, 0.0, None)
+    terms = np.where(w > 0.0, -w * np.log2(np.where(w > 0.0, w, 1.0)), 0.0)
+    return terms.sum(axis=-1)
+
+
+def _reference_conditional_entropy(rho, dirs, side):
+    """Average conditional entropy from explicit 4x4 projectors (I +- n.sigma)/2
+    on the measured qubit and partial traces of the projected states."""
+    n = dirs.shape[0]
+    proj = 0.5 * (
+        np.broadcast_to(PAULI_I, (n, 2, 2))
+        + dirs[:, 0, None, None] * PAULI_X
+        + dirs[:, 1, None, None] * PAULI_Y
+        + dirs[:, 2, None, None] * PAULI_Z
+    )
+    total = np.zeros(n)
+    for p_meas in (proj, PAULI_I[None] - proj):
+        if side == "A":
+            M = np.einsum("nab,cd->nacbd", p_meas, PAULI_I).reshape(n, 4, 4)
+        else:
+            M = np.einsum("ab,ncd->nacbd", PAULI_I, p_meas).reshape(n, 4, 4)
+        sub = M @ rho @ M
+        p = np.einsum("nii->n", sub).real
+        r = sub.reshape(n, 2, 2, 2, 2)
+        cond = np.einsum("nabcb->nac", r) if side == "B" else np.einsum("nabad->nbd", r)
+        safe_p = np.where(p > 1e-14, p, 1.0)
+        entropies = _reference_entropy_2x2(cond / safe_p[:, None, None])
+        total += np.where(p > 1e-14, p * entropies, 0.0)
+    return total
+
+
+_KERNEL_DIRS = np.vstack([_fibonacci_sphere(256), np.eye(3), -np.eye(3)])
+
+
+def _assert_kernel_matches_reference(rho):
+    for side in ("A", "B"):
+        want = _reference_conditional_entropy(rho, _KERNEL_DIRS, side)
+        a, b, T = _side_bloch(rho, side)
+        np.testing.assert_allclose(
+            _conditional_entropy_batch(a, b, T, _KERNEL_DIRS), want, rtol=0.0, atol=1e-12
+        )
+        a, b, T = a.tolist(), b.tolist(), T.tolist()
+        scalar = [_conditional_entropy_scalar(a, b, T, tuple(n)) for n in _KERNEL_DIRS.tolist()]
+        np.testing.assert_allclose(scalar, want, rtol=0.0, atol=1e-12)
+
+
+def test_bloch_kernel_matches_projector_route_on_random_states():
+    rng = np.random.default_rng(2012)
+    for _ in range(50):
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        assert np.linalg.eigvalsh(rho).min() > 1e-6
+        _assert_kernel_matches_reference(rho)
+
+
+def test_bloch_kernel_matches_projector_route_on_evolved_family():
+    for theta in (1e-4, 0.3, math.pi / 4, math.pi / 2, math.pi - 1e-3):
+        rho0 = initial_state(theta)
+        for axis in "xyz":
+            for qubit in "AB":
+                ch = ChannelSpec(axis=axis, qubit=qubit)
+                for t in (0.0, 0.35, 2.5):
+                    _assert_kernel_matches_reference(kraus_apply(rho0, ch, t))
+
+
+def test_bloch_kernel_drops_impossible_outcome():
+    # |0><0| on A: measuring A along +-z gives one outcome with p = 0 exactly
+    ket_b = np.array([0.6, 0.8j])
+    rho = np.kron(np.diag([1.0, 0.0]), np.outer(ket_b, ket_b.conj()))
+    _assert_kernel_matches_reference(rho)
+    a, b, T = _side_bloch(rho, "A")
+    assert _conditional_entropy_batch(a, b, T, np.array([[0.0, 0.0, 1.0]]))[0] == 0.0
+
+
+def test_fibonacci_grid_is_cached_and_read_only():
+    dirs = _fibonacci_sphere(64)
+    assert _fibonacci_sphere(64) is dirs
+    assert not dirs.flags.writeable
+    np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"grid_points": 31},
+        {"grid_points": MAX_GRID_POINTS + 1},
+        {"final_tolerance": -1.0},
+        {"final_tolerance": float("nan")},
+        {"max_passes": 0},
+    ],
+)
+def test_optimizer_settings_reject_bad_values(kwargs):
+    with pytest.raises(ValueError):
+        OptimizerSettings(**kwargs)
+
+
+def test_optimizer_settings_accept_the_limits():
+    # construction only: the largest grid is never run here
+    assert OptimizerSettings(grid_points=MAX_GRID_POINTS).grid_points == MAX_GRID_POINTS
+    assert OptimizerSettings(grid_points=32, final_tolerance=0.0, max_passes=1).max_passes == 1
+
+
+def test_optimizer_reports_its_work():
+    rho = kraus_apply(initial_state(1.1), ChannelSpec(axis="x"), 0.6)
+    diag = optimal_conditional_entropy(rho, settings=OptimizerSettings(grid_points=256)).optimizer
+    assert diag.evaluations > diag.grid_points + 2 * diag.refinement_iterations
+    first_window = 2.0 * 3.6 / math.sqrt(256)
+    assert diag.final_window == pytest.approx(
+        max(first_window * 0.25 ** (diag.refinement_iterations - 1), 1e-5), rel=1e-12
+    )
+
+
+def test_optimizer_is_bit_identical_across_runs():
+    rng = np.random.default_rng(5)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+    for side in "AB":
+        first = optimal_conditional_entropy(rho, side)
+        assert optimal_conditional_entropy(rho, side) == first
+
+
+def test_oracle_values_share_one_optimizer_run():
+    rho = kraus_apply(initial_state(0.9), ChannelSpec(axis="z"), 0.4)
+    values = oracle_values(rho, MEASURE_NAMES)
+    assert values["quantum_discord"] == quantum_discord(rho).value
+    assert values["classical_correlation"] == classical_correlation(rho).value
+    assert values["concurrence"] == concurrence(rho).value
+    with pytest.raises(ValueError):
+        oracle_values(rho, ["nope"])
+
+
+def test_oracle_sweep_rows_match_per_measure_oracles():
+    grid = SweepGrid(thetas=(0.4, 2.2), times=(0.0, 0.7))
+    rows = sweep(grid, axes=("x", "y"), measures=MEASURE_NAMES, include_oracle=True)
+    oracles = {
+        "concurrence": lambda r: concurrence(r).value,
+        "geometric_discord": lambda r: geometric_discord(r).value,
+        "quantum_discord": lambda r: quantum_discord(r).value,
+        "mutual_information": lambda r: mutual_information(r).value,
+        "classical_correlation": lambda r: classical_correlation(r).value,
+    }
+    assert len(rows) == len(MEASURE_NAMES) * 2 * 2 * 2
+    for row in rows:
+        rho = kraus_apply(initial_state(row.theta), ChannelSpec(axis=row.channel), row.gamma_t)
+        assert row.value_oracle == pytest.approx(oracles[row.measure](rho), abs=1e-12)
