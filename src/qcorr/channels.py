@@ -62,8 +62,10 @@ class EvolutionPoint:
 
 
 def decay_factor(channel: ChannelSpec, t: float) -> float:
-    """exp(-2 gamma t), the single scalar all closed forms depend on."""
-    if t < 0:
+    """exp(-2 gamma t), the single scalar all closed forms depend on.
+
+    t = inf gives the mu = 0 limit; a negative or NaN t raises ValueError."""
+    if not t >= 0.0:
         raise ValueError(f"t must be non-negative, got {t}")
     return math.exp(-2.0 * channel.gamma * t)
 
@@ -73,10 +75,19 @@ def evolution_point(channel: ChannelSpec, t: float, params: StateParams) -> Evol
     return EvolutionPoint(t=float(t), mu=mu, lam=mu * (1.0 - 4.0 * params.eta))
 
 
+_JUMP_OPERATORS = {
+    (axis, qubit): tensor(PAULIS[axis], PAULI_I) if qubit == "A" else tensor(PAULI_I, PAULIS[axis])
+    for axis in _AXES
+    for qubit in _QUBITS
+}
+for _op in _JUMP_OPERATORS.values():
+    _op.setflags(write=False)
+
+
 def jump_operator(channel: ChannelSpec) -> np.ndarray:
-    """The 4x4 jump operator: sigma on the selected qubit, identity elsewhere."""
-    s = PAULIS[channel.axis]
-    return tensor(s, PAULI_I) if channel.qubit == "A" else tensor(PAULI_I, s)
+    """The 4x4 jump operator: sigma on the selected qubit, identity elsewhere
+    (a shared read-only array)."""
+    return _JUMP_OPERATORS[(channel.axis, channel.qubit)]
 
 
 def lindblad_rhs(rho: np.ndarray, channel: ChannelSpec) -> np.ndarray:

@@ -11,9 +11,9 @@ error while computing.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
-import os
 import re
 import sys
 from typing import Optional, Sequence, TextIO
@@ -28,11 +28,13 @@ from .dynamics import (
     sweep,
     verify_suite,
 )
-from .measures import OptimizerSettings, oracle_values
-from .dynamics import _CLOSED as _CLOSED_MEASURES
+from .measures import OptimizerSettings, closed_values, oracle_values
 from .states import initial_state, make_params, state_to_json
 
 __all__ = ["main", "build_parser"]
+
+# most time points a --times range or --tsteps may ask for
+MAX_TIME_POINTS = 100_000
 
 _PI_TOKEN = re.compile(r"^\s*([0-9]*\.?[0-9]*)\s*\*?\s*pi\s*(?:/\s*([0-9]*\.?[0-9]+))?\s*$")
 
@@ -66,9 +68,14 @@ def _time_list(text: str) -> list[float]:
             start, stop, step = (float(p) for p in parts)
         except ValueError:
             raise argparse.ArgumentTypeError(f"cannot parse time range {text!r}") from None
-        if step <= 0.0 or stop < start:
+        span = (stop - start) / step
+        if not (step > 0.0 and span >= 0.0):
             raise argparse.ArgumentTypeError(f"bad time range {text!r}")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
+        if span >= MAX_TIME_POINTS:
+            raise argparse.ArgumentTypeError(
+                f"time range {text!r} has more than {MAX_TIME_POINTS} points"
+            )
+        n = int(math.floor(span + 1e-9)) + 1
         return [start + k * step for k in range(n)]
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
@@ -103,15 +110,6 @@ def _axis_list(text: str) -> list[str]:
     return axes
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("QCORR_THREADS", "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return value if value >= 1 else 1
-
-
 def _fmt(value: float, precision: int) -> str:
     return f"%.{precision}g" % value
 
@@ -133,13 +131,10 @@ def _measure_table(
     rho: np.ndarray,
     measures: Sequence[str],
     settings: OptimizerSettings,
-    closed: Optional[dict[str, float]] = None,
-) -> dict[str, dict[str, Optional[float]]]:
+    closed: dict[str, np.ndarray],
+) -> dict[str, dict[str, float]]:
     oracle = oracle_values(rho, measures, settings)
-    return {
-        name: {"closed": None if closed is None else closed.get(name), "oracle": oracle[name]}
-        for name in measures
-    }
+    return {name: {"closed": float(closed[name]), "oracle": oracle[name]} for name in measures}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="family parameter, e.g. 0.7, pi/8, 3pi/4")
     p_state.add_argument("--degrees", action="store_true",
                          help="interpret a plain-number --theta as degrees")
-    p_state.add_argument("--measures", type=_measure_list, default=list(MEASURE_NAMES),
+    p_state.add_argument("--measures", type=_measure_list, default=MEASURE_NAMES,
                          metavar="LIST", help="comma list or 'all' (default all)")
     add_optimizer(p_state)
     add_common(p_state)
@@ -189,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_evolve.add_argument("--check", action="store_true",
                           help="append a cross-method deviation footer (exit 1 if over tolerance)")
     p_evolve.add_argument("--measures", type=_measure_list,
-                          default=["concurrence", "geometric_discord", "quantum_discord"],
+                          default=("concurrence", "geometric_discord", "quantum_discord"),
                           metavar="LIST")
     add_optimizer(p_evolve)
     add_common(p_evolve)
@@ -204,16 +199,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--tsteps", type=int, metavar="N",
                          help="number of time points for --tmax (>= 2)")
     p_sweep.add_argument("--axes", "--channels", "--channel", type=_axis_list,
-                         default=["x", "y", "z"], metavar="LIST")
+                         default=("x", "y", "z"), metavar="LIST")
     p_sweep.add_argument("--measures", type=_measure_list,
-                         default=["concurrence", "geometric_discord", "quantum_discord"],
+                         default=("concurrence", "geometric_discord", "quantum_discord"),
                          metavar="LIST")
     p_sweep.add_argument("--gamma", type=float, default=1.0, metavar="G")
     p_sweep.add_argument("--noisy-qubit", choices=("A", "B"), default="B")
     p_sweep.add_argument("--oracle", action="store_true",
                          help="add an independently computed oracle column")
-    p_sweep.add_argument("--threads", type=int, default=None, metavar="N",
-                         help="worker threads (default: QCORR_THREADS or 1)")
     add_optimizer(p_sweep)
     add_common(p_sweep)
 
@@ -239,7 +232,7 @@ def _cmd_state(args: argparse.Namespace, out: TextIO) -> int:
     params = make_params(theta)
     rho = initial_state(params)
     settings = OptimizerSettings(grid_points=args.grid_points, final_tolerance=args.opt_tol)
-    closed = {name: _CLOSED_MEASURES[name](params, None, 0.0).value for name in args.measures}
+    closed = closed_values(params, None, 0.0, args.measures)
     table = _measure_table(rho, args.measures, settings, closed)
     if args.json:
         payload = {
@@ -288,9 +281,7 @@ def _cmd_evolve(args: argparse.Namespace, out: TextIO) -> int:
         check = {"reference": ref_name, "max_deviation": deviation,
                  "tolerance": tol, "passed": deviation <= tol}
     settings = OptimizerSettings(grid_points=args.grid_points, final_tolerance=args.opt_tol)
-    closed = {
-        name: _CLOSED_MEASURES[name](params, channel, args.time).value for name in args.measures
-    }
+    closed = closed_values(params, channel, args.time, args.measures)
     table = _measure_table(rho, args.measures, settings, closed)
     if args.json:
         payload = {
@@ -326,19 +317,16 @@ def _cmd_evolve(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace, out: TextIO) -> int:
-    threads = args.threads if args.threads is not None else _default_threads()
     settings = OptimizerSettings(grid_points=args.grid_points, final_tolerance=args.opt_tol)
-    rows = sweep(
+    table = sweep(
         SweepGrid(thetas=tuple(args.thetas), times=tuple(args.times)),
         axes=tuple(args.axes),
         measures=tuple(args.measures),
         gamma=args.gamma,
         noisy_qubit=args.noisy_qubit,
         include_oracle=args.oracle,
-        threads=threads,
         optimizer=settings,
     )
-    p = args.precision
     if args.json:
         payload = [
             {
@@ -349,17 +337,28 @@ def _cmd_sweep(args: argparse.Namespace, out: TextIO) -> int:
                 "value_closed": r.value_closed,
                 "value_oracle": r.value_oracle,
             }
-            for r in rows
+            for r in table
         ]
         out.write(json.dumps(payload, indent=2) + "\n")
         return 0
+    # written block by block from the table's arrays, each theta and gamma*t
+    # formatted once
+    fmt = f"%.{args.precision}g"
+    thetas = [fmt % theta for theta in table.thetas]
+    gamma_ts = [fmt % gt for gt in table.gamma_ts]
+    no_oracle = [""] * len(gamma_ts)
     out.write("channel,measure,theta,gamma_t,value_closed,value_oracle\n")
-    for r in rows:
-        oracle = "" if r.value_oracle is None else _fmt(r.value_oracle, p)
-        out.write(
-            f"{r.channel},{r.measure},{_fmt(r.theta, p)},{_fmt(r.gamma_t, p)},"
-            f"{_fmt(r.value_closed, p)},{oracle}\n"
-        )
+    for m, measure in enumerate(table.measures):
+        for a, axis in enumerate(table.axes):
+            for i, theta in enumerate(thetas):
+                head = f"{axis},{measure},{theta},"
+                closed = [fmt % v for v in table.closed[m, a, i].tolist()]
+                oracle = no_oracle if table.oracle is None else [
+                    fmt % v for v in table.oracle[m, a, i].tolist()
+                ]
+                out.write("".join(
+                    f"{head}{gt},{c},{o}\n" for gt, c, o in zip(gamma_ts, closed, oracle)
+                ))
     return 0
 
 
@@ -441,8 +440,15 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process for main; parsing leaves it unchanged, and
+    every list-valued default is a tuple, so no call can alter another's."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if not 6 <= args.precision <= 17:
         parser.error(f"--precision must be in [6, 17], got {args.precision}")
@@ -455,6 +461,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 parser.error("sweep needs --times, or both --tmax and --tsteps")
             if args.tmax <= 0.0 or args.tsteps < 2:
                 parser.error("--tmax must be > 0 and --tsteps >= 2")
+            if args.tsteps > MAX_TIME_POINTS:
+                parser.error(f"--tsteps must be at most {MAX_TIME_POINTS}")
             args.times = [args.tmax * k / (args.tsteps - 1) for k in range(args.tsteps)]
     handler = _COMMANDS[args.command]
     try:

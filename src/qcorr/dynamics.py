@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 import time as _time
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -27,14 +27,13 @@ from .channels import (
     uncorrected_y_matrix,
 )
 from .measures import (
-    MeasureResult,
+    MEASURE_NAMES,
     OptimizerSettings,
-    classical_correlation_closed,
+    closed_values,
     concurrence,
     concurrence_closed,
     geometric_discord,
     geometric_discord_closed,
-    mutual_information_closed,
     oracle_values,
     quantum_discord,
     quantum_discord_closed,
@@ -54,6 +53,7 @@ from .states import (
 __all__ = [
     "SweepGrid",
     "SweepRow",
+    "SweepTable",
     "MEASURE_NAMES",
     "sweep",
     "DeathTimeResult",
@@ -85,8 +85,8 @@ class SweepGrid:
     def __post_init__(self) -> None:
         if not self.thetas or not self.times:
             raise ValueError("sweep grid needs at least one theta and one time")
-        if any(t < 0.0 for t in self.times):
-            raise ValueError("sweep times must be >= 0")
+        if not all(t >= 0.0 for t in self.times):
+            raise ValueError("sweep times must be >= 0 (NaN is rejected)")
 
 
 @dataclass(frozen=True)
@@ -99,15 +99,37 @@ class SweepRow:
     value_oracle: Optional[float] = None
 
 
-_CLOSED: dict[str, Callable[[StateParams, ChannelSpec, float], MeasureResult]] = {
-    "concurrence": concurrence_closed,
-    "geometric_discord": geometric_discord_closed,
-    "quantum_discord": quantum_discord_closed,
-    "mutual_information": mutual_information_closed,
-    "classical_correlation": classical_correlation_closed,
-}
+@dataclass(frozen=True, eq=False)
+class SweepTable(Sequence):
+    """Sweep values stored by column: closed[m, a, i, j] (and oracle, when
+    computed) belongs to measures[m], axes[a], thetas[i] and gamma_ts[j].
 
-MEASURE_NAMES: tuple[str, ...] = tuple(_CLOSED)
+    Reads as the sequence of SweepRow in row order: measure-major, then
+    channel, theta, time.
+    """
+
+    measures: tuple[str, ...]
+    axes: tuple[str, ...]
+    thetas: tuple[float, ...]
+    gamma_ts: tuple[float, ...]
+    closed: np.ndarray
+    oracle: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return self.closed.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[k] for k in range(len(self))[index]]
+        m, a, i, j = np.unravel_index(range(len(self))[index], self.closed.shape)
+        return SweepRow(
+            channel=self.axes[a],
+            measure=self.measures[m],
+            theta=self.thetas[i],
+            gamma_t=self.gamma_ts[j],
+            value_closed=float(self.closed[m, a, i, j]),
+            value_oracle=None if self.oracle is None else float(self.oracle[m, a, i, j]),
+        )
 
 
 def sweep(
@@ -117,62 +139,42 @@ def sweep(
     gamma: float = 1.0,
     noisy_qubit: str = "B",
     include_oracle: bool = False,
-    threads: int = 1,
     optimizer: OptimizerSettings | None = None,
-) -> list[SweepRow]:
+) -> SweepTable:
     """Evaluate closed-form measures (and optionally the oracles) over the
-    grid.  Rows are ordered measure-major, then channel, theta, time; with
-    threads > 1 the evaluations run on a thread pool but the row order is
-    unchanged.  With oracles, each (channel, theta, time) state is evolved
-    once and every measure is read from it, the two entropic measures from
-    one optimizer run."""
-    for name in measures:
-        if name not in _CLOSED:
-            raise ValueError(f"unknown measure {name!r}; choose from {sorted(_CLOSED)}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    channels = {axis: ChannelSpec(axis=axis, gamma=gamma, qubit=noisy_qubit) for axis in axes}
+    grid.  The closed forms take one array evaluation per channel over the
+    whole (theta, time) grid.  With oracles, each (channel, theta, time)
+    state is evolved once and every measure is read from it, the two
+    entropic measures from one optimizer run."""
+    channels = [ChannelSpec(axis=axis, gamma=gamma, qubit=noisy_qubit) for axis in axes]
+    params = [make_params(theta) for theta in grid.thetas]
+    shape = (len(measures), len(channels), len(params), len(grid.times))
 
-    def parallel_map(fn: Callable, items: list) -> list:
-        if threads == 1:
-            return [fn(item) for item in items]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
+    closed = np.empty(shape)
+    for a, channel in enumerate(channels):
+        values = closed_values(params, channel, grid.times, measures)
+        for m, name in enumerate(measures):
+            closed[m, a] = values[name]
 
-    oracles: dict[tuple[str, float, float], dict[str, float]] = {}
+    oracle = None
     if include_oracle:
-        states = [(axis, theta, t) for axis in axes for theta in grid.thetas for t in grid.times]
+        oracle = np.empty(shape)
+        for a, channel in enumerate(channels):
+            for i, p in enumerate(params):
+                rho0 = initial_state(p)
+                for j, t in enumerate(grid.times):
+                    values = oracle_values(kraus_apply(rho0, channel, t), measures, optimizer)
+                    for m, name in enumerate(measures):
+                        oracle[m, a, i, j] = values[name]
 
-        def evaluate(state: tuple[str, float, float]) -> dict[str, float]:
-            axis, theta, t = state
-            rho = kraus_apply(initial_state(make_params(theta)), channels[axis], t)
-            return oracle_values(rho, measures, optimizer)
-
-        oracles = dict(zip(states, parallel_map(evaluate, states)))
-
-    jobs: list[tuple[str, str, float, float]] = [
-        (name, axis, theta, t)
-        for name in measures
-        for axis in axes
-        for theta in grid.thetas
-        for t in grid.times
-    ]
-
-    def build(job: tuple[str, str, float, float]) -> SweepRow:
-        name, axis, theta, t = job
-        channel = channels[axis]
-        params = make_params(theta)
-        closed = _CLOSED[name](params, channel, t).value
-        return SweepRow(
-            channel=axis,
-            measure=name,
-            theta=theta,
-            gamma_t=channel.gamma * t,
-            value_closed=closed,
-            value_oracle=oracles[(axis, theta, t)][name] if include_oracle else None,
-        )
-
-    return parallel_map(build, jobs)
+    return SweepTable(
+        measures=tuple(measures),
+        axes=tuple(axes),
+        thetas=tuple(grid.thetas),
+        gamma_ts=tuple(gamma * t for t in grid.times),
+        closed=closed,
+        oracle=oracle,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +322,10 @@ def _concurrence_death(params: StateParams, channel: ChannelSpec) -> DeathTimeRe
 
 
 def _half_life(params: StateParams, channel: ChannelSpec, measure: str) -> DeathTimeResult:
-    closed_fn = _CLOSED[measure]
-    initial = closed_fn(params, channel, 0.0).value
+    def closed(t: float) -> float:
+        return float(closed_values(params, channel, t, (measure,))[measure])
+
+    initial = closed(0.0)
     if initial <= _SCORE_THRESHOLD:
         return DeathTimeResult(
             kind="none",
@@ -334,7 +338,7 @@ def _half_life(params: StateParams, channel: ChannelSpec, measure: str) -> Death
     target = 0.5 * initial
 
     def excess(t: float) -> float:
-        return closed_fn(params, channel, t).value - target
+        return closed(t) - target
 
     lo, hi = 0.0, 1.0 / channel.gamma
     t_cap = _GAMMA_T_CAP / channel.gamma

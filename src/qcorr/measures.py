@@ -16,6 +16,25 @@ outcome +-1 with probability p = (1 +- a.n)/2 and leaves B with the Bloch
 vector r = (b +- T^T n)/(2p), whose entropy is h((1 + |r|)/2).  Measuring B
 swaps a and b and uses T in place of T^T.
 
+The closed forms use that every evolved family member is Bell-diagonal:
+a = b = 0 and T = diag(c) with c = (-q, -1, -q), q = 1 - 4 eta, and a Pauli
+channel on either qubit multiplies the two components of c orthogonal to
+its axis by mu = exp(-2 gamma t).  With the Bell weights w = (1 + s.c)/4
+(s = (-1,-1,-1), (1,-1,1), (-1,1,1), (1,1,-1) for psi-, phi+, phi-, psi+):
+
+    concurrence            max(0, 2 max w - 1)            (Wootters)
+    geometric discord      (sum c_i^2 - max c_i^2)/4      (Dakic-Vedral-Brukner)
+    mutual information     2 - H(w)
+    classical correlation  1 - h((1 + max |c_i|)/2)       (Luo)
+    quantum discord        mutual information - classical correlation
+
+The two entropies are evaluated as sum_k w_k log2(4 w_k) and
+[(1+phi) log2(1+phi) + (1-phi) log2(1-phi)]/2 with phi = max |c_i|, through
+log1p, so a discord that is small because every |c_i| is small keeps its
+relative accuracy.  One array-valued core (closed_values) evaluates all of
+them over whole (theta, t) grids; the per-measure *_closed functions are
+scalar wrappers around it.
+
 All entropies are base 2 (bits).
 """
 from __future__ import annotations
@@ -27,11 +46,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channels import ChannelSpec, analytic_evolve, decay_factor, evolution_point
+from .channels import ChannelSpec, decay_factor, evolution_point
 from .linalg import (
     PAULI_Y,
     ZERO_EIGENVALUE_TOL,
-    binary_entropy,
     clamp_spectrum,
     dag,
     hermitian_eigen,
@@ -63,6 +81,8 @@ __all__ = [
     "quantum_discord_xz_expanded",
     "quantum_discord_y_expanded",
     "closed_spectrum",
+    "MEASURE_NAMES",
+    "closed_values",
     "oracle_values",
 ]
 
@@ -165,28 +185,6 @@ def concurrence(rho: np.ndarray) -> MeasureResult:
     return MeasureResult(value=_finalize(max(0.0, wootters_score(rho))), method="oracle")
 
 
-def concurrence_closed(
-    params: StateParams, channel: ChannelSpec | None = None, t: float = 0.0
-) -> MeasureResult:
-    """Closed-form concurrence of the evolved family.
-
-    No channel (or t = 0): 2(|xi| - |eta|).  Dephasing (z) and bit flip (x):
-    2 max(0, mu xi - eta), which vanishes at finite time when mu xi = eta.
-    The y axis gives lam = mu (1 - 4 eta) > 0 for eta < 1/4 — decay without a
-    finite death.
-    """
-    eta, xi = params.eta, params.xi
-    if channel is None or t == 0.0:
-        value = 2.0 * (abs(xi) - abs(eta))
-    else:
-        point = evolution_point(channel, t, params)
-        if channel.axis == "y":
-            value = 0.5 * (abs(point.lam + 1.0) - abs(point.lam - 1.0))
-        else:
-            value = max(0.0, 2.0 * (point.mu * xi - eta))
-    return MeasureResult(value=_finalize(value), method="closed_form")
-
-
 def uncorrected_x_concurrence(params: StateParams, channel: ChannelSpec, t: float) -> float:
     """Known-faulty closed-form variant of the bit-flip concurrence, kept only
     for the discrepancy report: (1/2)[mu + lam + 4(8 xi^2 - 3 xi + 1)].  It
@@ -216,29 +214,6 @@ def geometric_discord(rho: np.ndarray) -> MeasureResult:
     return MeasureResult(value=_finalize(value), method="oracle")
 
 
-def geometric_discord_closed(
-    params: StateParams, channel: ChannelSpec | None = None, t: float = 0.0
-) -> MeasureResult:
-    """Closed-form geometric discord of the evolved family.
-
-    q = 1 - 4 eta.  No channel: q^2/2.  x/z (one shared formula):
-    (1/4)[q^2 + mu^2 (1 + q^2)] - (1/4) max(mu^2, q^2, mu^2 q^2).
-    y: mu^2 q^2 / 2.
-    """
-    q = 1.0 - 4.0 * params.eta
-    if channel is None or t == 0.0:
-        value = 0.5 * q * q
-    else:
-        mu = decay_factor(channel, t)
-        if channel.axis == "y":
-            value = 0.5 * (mu * q) ** 2
-        else:
-            value = 0.25 * (q * q + mu * mu * (1.0 + q * q)) - 0.25 * max(
-                mu * mu, q * q, mu * mu * q * q
-            )
-    return MeasureResult(value=_finalize(value), method="closed_form")
-
-
 # ---------------------------------------------------------------------------
 # entropic measures
 # ---------------------------------------------------------------------------
@@ -252,78 +227,6 @@ def mutual_information(rho: np.ndarray) -> MeasureResult:
         - von_neumann_entropy(rho)
     )
     return MeasureResult(value=_finalize(value), method="oracle")
-
-
-def closed_spectrum(
-    params: StateParams, channel: ChannelSpec | None = None, t: float = 0.0
-) -> np.ndarray:
-    """Eigenvalues of the evolved family member, largest first.
-
-    No channel: {2 xi, 2 eta, 0, 0}.  x/z: {xi(1+mu), xi(1-mu), eta(1+mu),
-    eta(1-mu)}.  y: {(1+lam)/2, (1-lam)/2, 0, 0}.
-    """
-    eta, xi = params.eta, params.xi
-    if channel is None or t == 0.0:
-        w = [2.0 * xi, 2.0 * eta, 0.0, 0.0]
-    else:
-        point = evolution_point(channel, t, params)
-        if channel.axis == "y":
-            w = [(1.0 + point.lam) / 2.0, (1.0 - point.lam) / 2.0, 0.0, 0.0]
-        else:
-            mu = point.mu
-            w = [xi * (1.0 + mu), xi * (1.0 - mu), eta * (1.0 + mu), eta * (1.0 - mu)]
-    return np.sort(np.asarray(w))[::-1]
-
-
-def _spectrum_entropy(w: np.ndarray) -> float:
-    w = np.asarray(w, dtype=float)
-    w = w[w > 0.0]
-    return float(-np.sum(w * np.log2(w)))
-
-
-def mutual_information_closed(
-    params: StateParams, channel: ChannelSpec | None = None, t: float = 0.0
-) -> MeasureResult:
-    """2 - S(rho(t)) for the family (both marginals stay maximally mixed)."""
-    value = 2.0 - _spectrum_entropy(closed_spectrum(params, channel, t))
-    return MeasureResult(value=_finalize(value), method="closed_form")
-
-
-def optimal_entropy_bound(
-    params: StateParams, channel: ChannelSpec | None = None, t: float = 0.0
-) -> tuple[float, float]:
-    """Closed-form (phi, SC) for the family: the dominant correlation
-    magnitude phi and the optimal conditional entropy h((1+phi)/2).
-
-    phi = max(q, mu, mu q) for x/z with q = 1 - 4 eta; the y channel and the
-    initial state keep a full-strength correlation (phi = 1, SC = 0).
-    """
-    q = 1.0 - 4.0 * params.eta
-    if channel is None or t == 0.0:
-        phi = 1.0
-    elif channel.axis == "y":
-        phi = 1.0
-    else:
-        mu = decay_factor(channel, t)
-        phi = max(q, mu, mu * q)
-    return phi, binary_entropy((1.0 + phi) / 2.0)
-
-
-def classical_correlation_closed(
-    params: StateParams, channel: ChannelSpec | None = None, t: float = 0.0
-) -> MeasureResult:
-    """1 - SC for the family (the unmeasured marginal is maximally mixed)."""
-    _, sc = optimal_entropy_bound(params, channel, t)
-    return MeasureResult(value=_finalize(1.0 - sc), method="closed_form")
-
-
-def quantum_discord_closed(
-    params: StateParams, channel: ChannelSpec | None = None, t: float = 0.0
-) -> MeasureResult:
-    """Closed-form discord 1 - S(rho(t)) + SC for the evolved family."""
-    s = _spectrum_entropy(closed_spectrum(params, channel, t))
-    _, sc = optimal_entropy_bound(params, channel, t)
-    return MeasureResult(value=_finalize(1.0 - s + sc), method="closed_form")
 
 
 def quantum_discord_xz_expanded(params: StateParams, channel: ChannelSpec, t: float) -> float:
@@ -377,6 +280,179 @@ def quantum_discord_y_expanded(params: StateParams, channel: ChannelSpec, t: flo
     return 2.0 / ln16 * (
         lam * math.log((1.0 + lam) / (1.0 - lam)) + math.log((1.0 + lam) * (1.0 - lam))
     )
+
+
+# ---------------------------------------------------------------------------
+# closed forms on the correlation triple
+# ---------------------------------------------------------------------------
+
+# the components of c that a Pauli channel along each axis scales by mu
+_ORTHOGONAL = {"x": (1, 2), "y": (0, 2), "z": (0, 1)}
+
+
+def _correlation_triple(
+    params: StateParams | Sequence[StateParams],
+    channel: ChannelSpec | None = None,
+    t: float | Sequence[float] = 0.0,
+) -> np.ndarray:
+    """c = (c1, c2, c3) with T = diag(c) for every evolved family member.
+
+    The initial state has c = (-q, -1, -q) with q = 1 - 4 eta.  A Pauli
+    channel on either qubit multiplies the two components orthogonal to its
+    axis by mu = exp(-2 gamma t); no channel leaves c as it is.  The result
+    has shape P + T + (3,), where P and T are the shapes of params and t
+    (empty for a single StateParams or a scalar time).
+    """
+    if isinstance(params, StateParams):
+        eta = np.array(params.eta)
+    else:
+        eta = np.array([p.eta for p in params], dtype=float)
+    q = 1.0 - 4.0 * eta
+    times = np.asarray(t, dtype=float)
+    c = np.empty(q.shape + times.shape + (3,))
+    c[...] = -q.reshape(q.shape + (1,) * (times.ndim + 1))
+    c[..., 1] = -1.0
+    if channel is not None:
+        mu = np.array([decay_factor(channel, x) for x in times.ravel().tolist()])
+        mu = mu.reshape(times.shape)
+        for k in _ORTHOGONAL[channel.axis]:
+            c[..., k] *= mu
+    return c
+
+
+# Bell-state sign patterns s, one row each for |psi->, |phi+>, |phi->, |psi+>
+_BELL_SIGNS = np.array([[-1.0, -1.0, -1.0], [1.0, -1.0, 1.0], [-1.0, 1.0, 1.0], [1.0, 1.0, -1.0]])
+
+
+def _bell_projections(c: np.ndarray) -> np.ndarray:
+    """x = s.c for each Bell state along a new last axis; its weight is
+    w = (1 + x)/4."""
+    return (c[..., None, :] * _BELL_SIGNS).sum(axis=-1)
+
+
+def _one_plus_x_log2(x: np.ndarray) -> np.ndarray:
+    """(1 + x) log2(1 + x) elementwise, 0 where 1 + x <= 0.
+
+    Both entropic measures are sums of this term whose parts linear in x
+    cancel, so log1p keeps them accurate when every |x| is small.
+    """
+    x = np.where(x > -1.0, x, 0.0)
+    return (1.0 + x) * np.log1p(x) / math.log(2.0)
+
+
+def _mutual_information_triple(c: np.ndarray) -> np.ndarray:
+    # 2 - H(w) = sum w log2(4 w)
+    return 0.25 * _one_plus_x_log2(_bell_projections(c)).sum(axis=-1)
+
+
+def _classical_correlation_triple(c: np.ndarray) -> np.ndarray:
+    # 1 - h((1 + phi)/2) = [(1 + phi) log2(1 + phi) + (1 - phi) log2(1 - phi)]/2
+    phi = np.abs(c).max(axis=-1)
+    return 0.5 * (_one_plus_x_log2(phi) + _one_plus_x_log2(-phi))
+
+
+_TRIPLE_MEASURES = {
+    # 2 max w - 1 = (max x - 1)/2
+    "concurrence": lambda c: np.maximum(0.5 * (_bell_projections(c).max(axis=-1) - 1.0), 0.0),
+    # the two smaller squares: sum c^2 - max c^2 without the cancellation
+    "geometric_discord": lambda c: 0.25 * np.sort(c * c, axis=-1)[..., :2].sum(axis=-1),
+    "quantum_discord": lambda c: _mutual_information_triple(c) - _classical_correlation_triple(c),
+    "mutual_information": _mutual_information_triple,
+    "classical_correlation": _classical_correlation_triple,
+}
+
+MEASURE_NAMES: tuple[str, ...] = tuple(_TRIPLE_MEASURES)
+
+
+def _finalize_array(values: np.ndarray) -> np.ndarray:
+    """_finalize elementwise."""
+    low = values < -1e-9
+    if low.any():
+        raise InvalidStateError(
+            f"measure evaluated to {values[low].min():.3e}, below the -1e-9 floor"
+        )
+    return np.where(values < 0.0, 0.0, values)
+
+
+def closed_values(
+    params: StateParams | Sequence[StateParams],
+    channel: ChannelSpec | None = None,
+    t: float | Sequence[float] = 0.0,
+    names: Sequence[str] = MEASURE_NAMES,
+) -> dict[str, np.ndarray]:
+    """Closed-form value of each named measure for every family member in
+    params evolved to every time in t, as arrays of shape P + T (see
+    _correlation_triple).  The counterpart of oracle_values."""
+    for name in names:
+        if name not in _TRIPLE_MEASURES:
+            raise ValueError(f"unknown measure {name!r}; choose from {sorted(MEASURE_NAMES)}")
+    c = _correlation_triple(params, channel, t)
+    return {name: _finalize_array(_TRIPLE_MEASURES[name](c)) for name in names}
+
+
+def _closed_result(
+    name: str, params: StateParams, channel: ChannelSpec | None, t: float
+) -> MeasureResult:
+    value = closed_values(params, channel, t, (name,))[name]
+    return MeasureResult(value=float(value), method="closed_form")
+
+
+def concurrence_closed(
+    params: StateParams, channel: ChannelSpec | None = None, t: float = 0.0
+) -> MeasureResult:
+    """Closed-form concurrence max(0, 2 max w - 1) of the evolved family.
+
+    Under x or z noise it vanishes at finite time, when mu xi = eta; under y
+    noise it decays as mu (1 - 4 eta) without a finite death.
+    """
+    return _closed_result("concurrence", params, channel, t)
+
+
+def geometric_discord_closed(
+    params: StateParams, channel: ChannelSpec | None = None, t: float = 0.0
+) -> MeasureResult:
+    """Closed-form geometric discord (sum c^2 - max c^2)/4 of the evolved family."""
+    return _closed_result("geometric_discord", params, channel, t)
+
+
+def mutual_information_closed(
+    params: StateParams, channel: ChannelSpec | None = None, t: float = 0.0
+) -> MeasureResult:
+    """2 - H(w) for the family (both marginals stay maximally mixed)."""
+    return _closed_result("mutual_information", params, channel, t)
+
+
+def classical_correlation_closed(
+    params: StateParams, channel: ChannelSpec | None = None, t: float = 0.0
+) -> MeasureResult:
+    """1 - h((1 + max |c_i|)/2) for the family (the unmeasured marginal is
+    maximally mixed)."""
+    return _closed_result("classical_correlation", params, channel, t)
+
+
+def quantum_discord_closed(
+    params: StateParams, channel: ChannelSpec | None = None, t: float = 0.0
+) -> MeasureResult:
+    """Closed-form discord: mutual information minus classical correlation."""
+    return _closed_result("quantum_discord", params, channel, t)
+
+
+def closed_spectrum(
+    params: StateParams, channel: ChannelSpec | None = None, t: float = 0.0
+) -> np.ndarray:
+    """Eigenvalues of the evolved family member (the Bell weights), largest first."""
+    w = 0.25 * (1.0 + _bell_projections(_correlation_triple(params, channel, t)))
+    return np.sort(w, axis=-1)[..., ::-1]
+
+
+def optimal_entropy_bound(
+    params: StateParams, channel: ChannelSpec | None = None, t: float = 0.0
+) -> tuple[float, float]:
+    """Closed-form (phi, SC) for the family: the dominant correlation
+    magnitude phi = max |c_i| and the optimal conditional entropy
+    h((1+phi)/2)."""
+    c = _correlation_triple(params, channel, t)
+    return float(np.abs(c).max(axis=-1)), float(1.0 - _classical_correlation_triple(c))
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,9 @@ def test_decay_factor():
     assert math.isclose(decay_factor(ch, 2.0), math.exp(-2.8), rel_tol=1e-15)
     with pytest.raises(ValueError):
         decay_factor(ch, -0.1)
+    with pytest.raises(ValueError):
+        decay_factor(ch, math.nan)
+    assert decay_factor(ch, math.inf) == 0.0
 
 
 def test_evolution_point_scales_by_q():
@@ -66,6 +69,9 @@ def test_jump_operator_placement():
         np.testing.assert_array_equal(
             jump_operator(ChannelSpec(axis=axis, qubit="A")), np.kron(PAULI[axis], I2)
         )
+        shared = jump_operator(ChannelSpec(axis=axis))
+        assert jump_operator(ChannelSpec(axis=axis)) is shared
+        assert not shared.flags.writeable
 
 
 def test_apply_pauli_channel_limits():

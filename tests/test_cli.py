@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qcorr.cli import main, parse_angle
+from qcorr.cli import MAX_TIME_POINTS, build_parser, main, parse_angle
 
 
 def run(capsys, *argv):
@@ -107,6 +107,45 @@ def test_sweep_csv_format(capsys):
     assert lines[1].startswith("x,concurrence,")
 
 
+GOLDEN_SWEEP = """\
+channel,measure,theta,gamma_t,value_closed,value_oracle
+x,concurrence,0.392699,0,0.853553,
+x,concurrence,0.392699,0.5,0.267719,
+x,concurrence,1.5708,0,0,
+x,concurrence,1.5708,0.5,0,
+y,concurrence,0.392699,0,0.853553,
+y,concurrence,0.392699,0.5,0.314005,
+y,concurrence,1.5708,0,0,
+y,concurrence,1.5708,0.5,0,
+x,quantum_discord,0.392699,0,0.622161,
+x,quantum_discord,0.392699,0.5,0.0999544,
+x,quantum_discord,1.5708,0,0,
+x,quantum_discord,1.5708,0.5,0,
+y,quantum_discord,0.392699,0,0.622161,
+y,quantum_discord,0.392699,0.5,0.0723416,
+y,quantum_discord,1.5708,0,0,
+y,quantum_discord,1.5708,0.5,0,
+"""
+
+
+def test_sweep_csv_golden(capsys):
+    code, out = run(capsys, "sweep", "--thetas", "pi/8,pi/2", "--times", "0,0.5", "--axes", "x,y",
+                    "--measures", "concurrence,quantum_discord", "--precision", "6")
+    assert code == 0
+    assert out == GOLDEN_SWEEP
+    code, out = run(capsys, "sweep", "--thetas", "0.3", "--times", "0,1.5", "--axes", "z",
+                    "--measures", "geometric_discord", "--oracle", "--precision", "6")
+    assert out.splitlines()[1:] == [
+        "z,geometric_discord,0.3,0,0.416481,0.416481",
+        "z,geometric_discord,0.3,1.5,0.00113586,0.00113586",
+    ]
+    code, out = run(capsys, "sweep", "--thetas", "pi/7", "--times", "0.1", "--axes", "y",
+                    "--measures", "mutual_information", "--precision", "17")
+    theta, gamma_t, value = out.splitlines()[1].split(",")[2:5]
+    assert (theta, gamma_t) == ("0.44879895051282759", "0.10000000000000001")
+    assert float(value) == pytest.approx(1.347584383270402, abs=1e-14)
+
+
 def test_sweep_tmax_tsteps_grid(capsys):
     code, out = run(capsys, "sweep", "--thetas", "pi/8,pi/4,3pi/8", "--channel", "y",
                     "--measures", "concurrence", "--tmax", "3", "--tsteps", "61")
@@ -146,14 +185,6 @@ def test_sweep_out_file(tmp_path, capsys):
     lines = target.read_text().strip().splitlines()
     assert lines[0].startswith("channel,measure")
     assert len(lines) == 3
-
-
-def test_sweep_threads_env(monkeypatch, capsys):
-    monkeypatch.setenv("QCORR_THREADS", "3")
-    code, out = run(capsys, "sweep", "--thetas", "pi/4", "--times", "0,0.5",
-                    "--axes", "x", "--measures", "concurrence")
-    assert code == 0
-    assert len(out.strip().splitlines()) == 3
 
 
 def test_deathtime_json(capsys):
@@ -198,13 +229,44 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["state", "--theta", "pi/4", "--precision", "30"])
     assert err.value.code == 2
+    # time grids are counted before any list is built
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", "--thetas", "pi/4", "--times", "0:1e9:1e-9"])
+    assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", "--thetas", "pi/4", "--times", "0:inf:1"])
+    assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", "--thetas", "pi/4", "--tmax", "1", "--tsteps", str(MAX_TIME_POINTS + 1)])
+    assert err.value.code == 2
     capsys.readouterr()
 
 
 def test_computation_errors_exit_3(capsys):
     code = main(["evolve", "--theta", "pi/4", "--axis", "z", "--time", "-2"])
     assert code == 3
-    capsys.readouterr()
+    code = main(["sweep", "--thetas", "pi/4", "--times", "nan", "--axes", "z",
+                 "--measures", "concurrence,quantum_discord"])
+    assert code == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_sweep_at_infinite_time_is_the_mu_zero_limit(capsys):
+    code, out = run(capsys, "sweep", "--thetas", "pi/4", "--times", "inf", "--axes", "z",
+                    "--measures", "concurrence,geometric_discord")
+    assert code == 0
+    assert [line.split(",")[3:5] for line in out.splitlines()[1:]] == [["inf", "0"], ["inf", "0"]]
+
+
+def test_main_reuses_one_parser_without_shared_mutable_defaults(capsys):
+    assert build_parser() is not build_parser()
+    first = run(capsys, "state", "--theta", "pi/4", "--json")
+    assert run(capsys, "state", "--theta", "pi/4", "--json") == first
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for sub in commands.choices.values():
+        for action in sub._actions:
+            assert not isinstance(action.default, (list, dict, set)), action.dest
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,14 @@
 """Measure oracles against textbook cases, closed forms against oracles, and
 the retained faulty variants against both."""
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
-from qcorr.channels import ChannelSpec, kraus_apply
+from qcorr.channels import ChannelSpec, decay_factor, evolution_point, kraus_apply
 from qcorr.dynamics import MEASURE_NAMES, SweepGrid, sweep
-from qcorr.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, ZERO_EIGENVALUE_TOL
+from qcorr.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, ZERO_EIGENVALUE_TOL, binary_entropy
 from qcorr.measures import (
     MAX_GRID_POINTS,
     OptimizerSettings,
@@ -18,6 +19,7 @@ from qcorr.measures import (
     classical_correlation,
     classical_correlation_closed,
     closed_spectrum,
+    closed_values,
     concurrence,
     concurrence_closed,
     geometric_discord,
@@ -25,6 +27,7 @@ from qcorr.measures import (
     mutual_information,
     mutual_information_closed,
     optimal_conditional_entropy,
+    optimal_entropy_bound,
     oracle_values,
     quantum_discord,
     quantum_discord_closed,
@@ -497,3 +500,151 @@ def test_oracle_sweep_rows_match_per_measure_oracles():
     for row in rows:
         rho = kraus_apply(initial_state(row.theta), ChannelSpec(axis=row.channel), row.gamma_t)
         assert row.value_oracle == pytest.approx(oracles[row.measure](rho), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the correlation-triple core against the per-axis closed forms it replaced
+# ---------------------------------------------------------------------------
+
+def _ref_concurrence(params, channel, t):
+    eta, xi = params.eta, params.xi
+    if channel is None or t == 0.0:
+        return 2.0 * (abs(xi) - abs(eta))
+    point = evolution_point(channel, t, params)
+    if channel.axis == "y":
+        return 0.5 * (abs(point.lam + 1.0) - abs(point.lam - 1.0))
+    return max(0.0, 2.0 * (point.mu * xi - eta))
+
+
+def _ref_geometric_discord(params, channel, t):
+    q = 1.0 - 4.0 * params.eta
+    if channel is None or t == 0.0:
+        return 0.5 * q * q
+    mu = decay_factor(channel, t)
+    if channel.axis == "y":
+        return 0.5 * (mu * q) ** 2
+    return 0.25 * (q * q + mu * mu * (1.0 + q * q)) - 0.25 * max(mu * mu, q * q, mu * mu * q * q)
+
+
+def _ref_spectrum(params, channel, t):
+    eta, xi = params.eta, params.xi
+    if channel is None or t == 0.0:
+        w = [2.0 * xi, 2.0 * eta, 0.0, 0.0]
+    else:
+        point = evolution_point(channel, t, params)
+        if channel.axis == "y":
+            w = [(1.0 + point.lam) / 2.0, (1.0 - point.lam) / 2.0, 0.0, 0.0]
+        else:
+            mu = point.mu
+            w = [xi * (1.0 + mu), xi * (1.0 - mu), eta * (1.0 + mu), eta * (1.0 - mu)]
+    return np.sort(np.asarray(w))[::-1]
+
+
+def _ref_spectrum_entropy(params, channel, t):
+    w = _ref_spectrum(params, channel, t)
+    w = w[w > 0.0]
+    return float(-np.sum(w * np.log2(w)))
+
+
+def _ref_entropy_bound(params, channel, t):
+    q = 1.0 - 4.0 * params.eta
+    if channel is None or t == 0.0 or channel.axis == "y":
+        phi = 1.0
+    else:
+        mu = decay_factor(channel, t)
+        phi = max(q, mu, mu * q)
+    return phi, binary_entropy((1.0 + phi) / 2.0)
+
+
+_REFERENCE_CLOSED = {
+    "concurrence": (concurrence_closed, _ref_concurrence),
+    "geometric_discord": (geometric_discord_closed, _ref_geometric_discord),
+    "mutual_information": (
+        mutual_information_closed,
+        lambda p, ch, t: 2.0 - _ref_spectrum_entropy(p, ch, t),
+    ),
+    "classical_correlation": (
+        classical_correlation_closed,
+        lambda p, ch, t: 1.0 - _ref_entropy_bound(p, ch, t)[1],
+    ),
+    "quantum_discord": (
+        quantum_discord_closed,
+        lambda p, ch, t: 1.0 - _ref_spectrum_entropy(p, ch, t) + _ref_entropy_bound(p, ch, t)[1],
+    ),
+}
+
+EDGE_THETAS = np.concatenate(
+    [np.logspace(-4.0, 0.0, 9), [math.pi / 2], math.pi - np.logspace(-4.0, 0.0, 9)]
+)
+
+
+def test_triple_core_matches_the_per_axis_closed_forms():
+    cases = [(None, 0.0)] + [
+        (ChannelSpec(axis=axis, qubit=qubit), t)
+        for axis in "xyz"
+        for qubit in "AB"
+        for t in (0.0, 1e-6, 3.0, 50.0)
+    ]
+    for theta in EDGE_THETAS.tolist():
+        p = make_params(theta)
+        for channel, t in cases:
+            for name, (closed_fn, reference) in _REFERENCE_CLOSED.items():
+                got = closed_fn(p, channel, t).value
+                want = max(0.0, reference(p, channel, t))
+                assert abs(got - want) <= 1e-14, (name, theta, channel, t)
+            np.testing.assert_allclose(
+                closed_spectrum(p, channel, t), _ref_spectrum(p, channel, t), rtol=0.0, atol=1e-14
+            )
+            phi, sc = optimal_entropy_bound(p, channel, t)
+            ref_phi, ref_sc = _ref_entropy_bound(p, channel, t)
+            assert phi == ref_phi and abs(sc - ref_sc) <= 1e-14
+
+
+def test_closed_values_grid_shape_and_names():
+    params = [make_params(theta) for theta in (0.2, 1.0, 2.9)]
+    ch = ChannelSpec(axis="x")
+    values = closed_values(params, ch, (0.0, 0.5), ("concurrence", "quantum_discord"))
+    assert list(values) == ["concurrence", "quantum_discord"]
+    assert values["concurrence"].shape == (3, 2)
+    assert values["quantum_discord"][1, 1] == quantum_discord_closed(params[1], ch, 0.5).value
+    assert closed_values(params[0], ch, 0.5)["geometric_discord"].shape == ()
+    with pytest.raises(ValueError):
+        closed_values(params, ch, 0.5, ("nope",))
+    with pytest.raises(ValueError):
+        closed_values(params, ch, (0.5, float("nan")))
+
+
+def test_closed_sweep_rows_equal_the_scalar_wrappers_bit_for_bit():
+    thetas = tuple(EDGE_THETAS.tolist())
+    times = (0.0, 1e-7, 0.3, 3.0, 50.0, math.inf)
+    wrappers = {name: fn for name, (fn, _) in _REFERENCE_CLOSED.items()}
+    for qubit in "AB":
+        rows = sweep(SweepGrid(thetas, times), measures=MEASURE_NAMES, gamma=1.3, noisy_qubit=qubit)
+        keys = [(m, a, th, t) for m in MEASURE_NAMES for a in "xyz" for th in thetas for t in times]
+        assert len(rows) == len(keys)
+        for row, (name, axis, theta, t) in zip(rows, keys):
+            channel = ChannelSpec(axis=axis, gamma=1.3, qubit=qubit)
+            assert row.value_closed == wrappers[name](make_params(theta), channel, t).value
+
+
+def test_small_discord_keeps_its_relative_accuracy():
+    # Near theta = pi/2 every |c_i| is small at long times, and the discord
+    # (1e-16 to 1e-11 here) is what is left after its parts cancel.  Reference:
+    # the same formula in 60-digit decimals on the same q and mu.
+    p = make_params(math.pi / 2 + 1.5e-3)
+    ch = ChannelSpec(axis="x")
+    signs = ((-1, -1, -1), (1, -1, 1), (-1, 1, 1), (1, 1, -1))
+    with localcontext() as ctx:
+        ctx.prec = 60
+
+        def g(x):
+            return (1 + x) * (1 + x).ln() if 1 + x > 0 else Decimal(0)
+
+        for t in (4.0, 6.69, 9.0):
+            q, mu = Decimal(1.0 - 4.0 * p.eta), Decimal(decay_factor(ch, t))
+            c = (-q, -mu, -mu * q)
+            x = [sum(s * ci for s, ci in zip(row, c)) for row in signs]
+            phi = max(abs(ci) for ci in c)
+            want = float((sum(map(g, x)) / 4 - (g(phi) + g(-phi)) / 2) / Decimal(2).ln())
+            assert 0.0 < want < 1e-10
+            assert quantum_discord_closed(p, ch, t).value == pytest.approx(want, rel=1e-9)
