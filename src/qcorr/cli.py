@@ -4,9 +4,9 @@ Subcommands: state (build and measure an initial family member), evolve
 (apply a channel and re-measure), sweep (CSV over a (theta, time) grid),
 deathtime (root-find a death or half-life), verify (self-check suite).
 
-Angles accept plain radians or pi tokens like ``pi/8`` and ``3pi/4``.  Exit
-codes: 0 success, 1 verify failure, 2 usage error, 3 numerical/validation
-error while computing.
+Angles accept plain radians or pi tokens like ``pi/8``, ``3pi/4``, ``-pi/4``
+and ``2e-1pi``.  Exit codes: 0 success, 1 verify failure, 2 usage error, 3
+numerical/validation error while computing.
 """
 from __future__ import annotations
 
@@ -29,22 +29,27 @@ from .dynamics import (
     verify_suite,
 )
 from .measures import OptimizerSettings, closed_values, oracle_values
-from .states import initial_state, make_params, state_to_json
+from .states import StateParams, initial_state, make_params, state_to_json
 
 __all__ = ["main", "build_parser"]
 
 # most time points a --times range or --tsteps may ask for
 MAX_TIME_POINTS = 100_000
 
-_PI_TOKEN = re.compile(r"^\s*([0-9]*\.?[0-9]*)\s*\*?\s*pi\s*(?:/\s*([0-9]*\.?[0-9]+))?\s*$")
+# [sign] [coefficient, with an optional exponent] [*] pi [/ denominator]
+_PI_TOKEN = re.compile(
+    r"^\s*([+-]?)\s*((?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?)?"
+    r"\s*\*?\s*pi\s*(?:/\s*([0-9]*\.?[0-9]+))?\s*$"
+)
 
 
 def parse_angle(token: str) -> float:
-    """Parse '0.7', 'pi', 'pi/8', '3pi/4', or '0.5*pi' into radians."""
+    """Parse '0.7', 'pi', 'pi/8', '3pi/4', '-pi/4', '2e-1pi' or '0.5*pi' into
+    radians."""
     m = _PI_TOKEN.match(token.lower())
     if m:
-        coef = float(m.group(1)) if m.group(1) else 1.0
-        den = float(m.group(2)) if m.group(2) else 1.0
+        coef = float(m.group(1) + (m.group(2) or "1"))
+        den = float(m.group(3)) if m.group(3) else 1.0
         if den == 0.0:
             raise argparse.ArgumentTypeError(f"zero denominator in angle {token!r}")
         return coef * math.pi / den
@@ -127,14 +132,46 @@ def _print_matrix(rho: np.ndarray, precision: int, out: TextIO) -> None:
         out.write("  [" + ", ".join(f"{c:>14s}" for c in cells) + "]\n")
 
 
-def _measure_table(
+def _settings(args: argparse.Namespace) -> OptimizerSettings:
+    return OptimizerSettings(grid_points=args.grid_points, final_tolerance=args.opt_tol)
+
+
+def _write_measured_state(
+    args: argparse.Namespace,
+    out: TextIO,
     rho: np.ndarray,
-    measures: Sequence[str],
-    settings: OptimizerSettings,
-    closed: dict[str, np.ndarray],
-) -> dict[str, dict[str, float]]:
-    oracle = oracle_values(rho, measures, settings)
-    return {name: {"closed": float(closed[name]), "oracle": oracle[name]} for name in measures}
+    params: StateParams,
+    channel: Optional[ChannelSpec],
+    t: float,
+    fields: dict,
+    header: str,
+    check: Optional[dict] = None,
+) -> None:
+    """Write rho with the closed-form measures of params evolved by channel
+    to t and the oracle measures of rho: as JSON, the fields, the state, the
+    measure table and the check if any; as text, the header, the density
+    matrix, the measure table and the check footer."""
+    settings = _settings(args)
+    closed = closed_values(params, channel, t, args.measures)
+    oracle = oracle_values(rho, args.measures, settings)
+    table = {name: {"closed": float(closed[name]), "oracle": oracle[name]} for name in args.measures}
+    if args.json:
+        payload = {**fields, "state": state_to_json(rho), "measures": table}
+        if check is not None:
+            payload["check"] = check
+        out.write(json.dumps(payload, indent=2) + "\n")
+        return
+    p = args.precision
+    out.write(header)
+    _print_matrix(rho, p, out)
+    out.write("measures (closed form | oracle):\n")
+    for name in args.measures:
+        c, o = table[name]["closed"], table[name]["oracle"]
+        out.write(f"  {name:<22s} {_fmt(c, p):>14s} | {_fmt(o, p)}\n")
+    if check is not None:
+        out.write(f"check: max deviation vs {check['reference']} = "
+                  f"{_fmt(check['max_deviation'], p)} (tolerance {check['tolerance']:g})"
+                  f" -> {'ok' if check['passed'] else 'FAIL'}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,30 +267,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_state(args: argparse.Namespace, out: TextIO) -> int:
     theta = math.radians(args.theta) if args.degrees else args.theta
     params = make_params(theta)
-    rho = initial_state(params)
-    settings = OptimizerSettings(grid_points=args.grid_points, final_tolerance=args.opt_tol)
-    closed = closed_values(params, None, 0.0, args.measures)
-    table = _measure_table(rho, args.measures, settings, closed)
-    if args.json:
-        payload = {
-            "theta": params.theta,
-            "eta": params.eta,
-            "xi": params.xi,
-            "q": 1.0 - 4.0 * params.eta,
-            "state": state_to_json(rho),
-            "measures": table,
-        }
-        out.write(json.dumps(payload, indent=2) + "\n")
-        return 0
+    q = 1.0 - 4.0 * params.eta
     p = args.precision
-    out.write(f"theta = {_fmt(params.theta, p)}  (eta = {_fmt(params.eta, p)},"
-              f" xi = {_fmt(params.xi, p)}, q = {_fmt(1.0 - 4.0 * params.eta, p)})\n")
-    out.write("density matrix:\n")
-    _print_matrix(rho, p, out)
-    out.write("measures (closed form | oracle):\n")
-    for name in args.measures:
-        c, o = table[name]["closed"], table[name]["oracle"]
-        out.write(f"  {name:<22s} {_fmt(c, p):>14s} | {_fmt(o, p)}\n")
+    _write_measured_state(
+        args, out, initial_state(params), params, None, 0.0,
+        {"theta": params.theta, "eta": params.eta, "xi": params.xi, "q": q},
+        f"theta = {_fmt(params.theta, p)}  (eta = {_fmt(params.eta, p)},"
+        f" xi = {_fmt(params.xi, p)}, q = {_fmt(q, p)})\ndensity matrix:\n",
+    )
     return 0
 
 
@@ -280,44 +301,21 @@ def _cmd_evolve(args: argparse.Namespace, out: TextIO) -> int:
         deviation = float(np.max(np.abs(rho - reference)))
         check = {"reference": ref_name, "max_deviation": deviation,
                  "tolerance": tol, "passed": deviation <= tol}
-    settings = OptimizerSettings(grid_points=args.grid_points, final_tolerance=args.opt_tol)
-    closed = closed_values(params, channel, args.time, args.measures)
-    table = _measure_table(rho, args.measures, settings, closed)
-    if args.json:
-        payload = {
-            "theta": params.theta,
-            "axis": channel.axis,
-            "gamma": channel.gamma,
-            "time": args.time,
-            "gamma_t": channel.gamma * args.time,
-            "method": args.method,
-            "state": state_to_json(rho),
-            "measures": table,
-        }
-        if check is not None:
-            payload["check"] = check
-        out.write(json.dumps(payload, indent=2) + "\n")
-        return 0 if check is None or check["passed"] else 1
+    gamma_t = channel.gamma * args.time
     p = args.precision
-    out.write(f"theta = {_fmt(params.theta, p)}, axis = {channel.axis},"
-              f" gamma*t = {_fmt(channel.gamma * args.time, p)}, method = {args.method}\n")
-    out.write("evolved density matrix:\n")
-    _print_matrix(rho, p, out)
-    out.write("measures (closed form | oracle):\n")
-    for name in args.measures:
-        c, o = table[name]["closed"], table[name]["oracle"]
-        out.write(f"  {name:<22s} {_fmt(c, p):>14s} | {_fmt(o, p)}\n")
-    if check is not None:
-        out.write(f"check: max deviation vs {check['reference']} = "
-                  f"{_fmt(check['max_deviation'], p)} (tolerance {check['tolerance']:g})"
-                  f" -> {'ok' if check['passed'] else 'FAIL'}\n")
-        if not check["passed"]:
-            return 1
-    return 0
+    _write_measured_state(
+        args, out, rho, params, channel, args.time,
+        {"theta": params.theta, "axis": channel.axis, "gamma": channel.gamma,
+         "time": args.time, "gamma_t": gamma_t, "method": args.method},
+        f"theta = {_fmt(params.theta, p)}, axis = {channel.axis},"
+        f" gamma*t = {_fmt(gamma_t, p)}, method = {args.method}\nevolved density matrix:\n",
+        check,
+    )
+    return 0 if check is None or check["passed"] else 1
 
 
 def _cmd_sweep(args: argparse.Namespace, out: TextIO) -> int:
-    settings = OptimizerSettings(grid_points=args.grid_points, final_tolerance=args.opt_tol)
+    settings = _settings(args)
     table = sweep(
         SweepGrid(thetas=tuple(args.thetas), times=tuple(args.times)),
         axes=tuple(args.axes),
@@ -397,8 +395,7 @@ def _cmd_deathtime(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
-    settings = OptimizerSettings(grid_points=args.grid_points, final_tolerance=args.opt_tol)
-    report = verify_suite(quick=args.quick, optimizer=settings)
+    report = verify_suite(quick=args.quick, optimizer=_settings(args))
     if args.json:
         payload = {
             "passed": report.passed,

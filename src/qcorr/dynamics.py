@@ -10,6 +10,7 @@ merely dips into numerical dust.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time as _time
 from collections.abc import Sequence
@@ -31,9 +32,6 @@ from .measures import (
     OptimizerSettings,
     closed_values,
     concurrence,
-    concurrence_closed,
-    geometric_discord,
-    geometric_discord_closed,
     oracle_values,
     quantum_discord,
     quantum_discord_closed,
@@ -46,7 +44,6 @@ from .states import (
     StateParams,
     initial_state,
     make_params,
-    validate_density_matrix,
     x_structure_defect,
 )
 
@@ -256,64 +253,46 @@ def death_time(
     )
 
 
+def _crossing(
+    f: Callable[[float], float], gamma: float
+) -> Optional[tuple[float, tuple[float, float], int]]:
+    """Bracket the first sign change of f by doubling from t = 1/gamma, then
+    bisect it; None when f stays positive up to gamma t = 50."""
+    lo, hi = 0.0, 1.0 / gamma
+    t_cap = _GAMMA_T_CAP / gamma
+    while f(hi) > 0.0:
+        lo = hi
+        hi *= 2.0
+        if hi > t_cap:
+            return None
+    return _bisect(f, lo, hi)
+
+
 def _concurrence_death(params: StateParams, channel: ChannelSpec) -> DeathTimeResult:
-    closed = closed_death_time(params, channel)
+    result = functools.partial(DeathTimeResult, closed_form_time=closed_death_time(params, channel))
     rho0 = initial_state(params)
 
     def score(t: float) -> float:
         return wootters_score(kraus_apply(rho0, channel, t))
 
-    t_cap = _GAMMA_T_CAP / channel.gamma
     if score(0.0) <= _SCORE_THRESHOLD:
-        certified = score(1.0 / channel.gamma) <= _CERTIFY_MARGIN
-        if certified:
-            return DeathTimeResult(
-                kind="esd",
-                time=0.0,
-                bracket=(0.0, 0.0),
-                iterations=0,
-                closed_form_time=closed,
-                diagnostic="concurrence is zero already at t = 0",
-            )
-        return DeathTimeResult(
-            kind="none",
-            time=None,
-            bracket=None,
-            iterations=0,
-            closed_form_time=closed,
-            diagnostic="concurrence starts at zero and never turns decisively negative",
-        )
+        if score(1.0 / channel.gamma) <= _CERTIFY_MARGIN:
+            return result("esd", 0.0, (0.0, 0.0), 0,
+                          diagnostic="concurrence is zero already at t = 0")
+        return result("none", None, None, 0,
+                      diagnostic="concurrence starts at zero and never turns decisively negative")
 
-    lo, hi = 0.0, 1.0 / channel.gamma
-    while score(hi) > _SCORE_THRESHOLD:
-        lo = hi
-        hi *= 2.0
-        if hi > t_cap:
-            return DeathTimeResult(
-                kind="none",
-                time=None,
-                bracket=None,
-                iterations=0,
-                closed_form_time=closed,
-                diagnostic=f"no sign change up to gamma t = {_GAMMA_T_CAP:g}",
-            )
-    root, bracket, iterations = _bisect(lambda t: score(t) - _SCORE_THRESHOLD, lo, hi)
+    crossing = _crossing(lambda t: score(t) - _SCORE_THRESHOLD, channel.gamma)
+    if crossing is None:
+        return result("none", None, None, 0,
+                      diagnostic=f"no sign change up to gamma t = {_GAMMA_T_CAP:g}")
+    root, bracket, iterations = crossing
     post = score(root + 1.0 / channel.gamma)
     if post <= _CERTIFY_MARGIN:
-        return DeathTimeResult(
-            kind="esd",
-            time=root,
-            bracket=bracket,
-            iterations=iterations,
-            closed_form_time=closed,
-            diagnostic=f"score {post:.3e} one decay time past the root",
-        )
-    return DeathTimeResult(
-        kind="asymptotic",
-        time=None,
-        bracket=bracket,
-        iterations=iterations,
-        closed_form_time=closed,
+        return result("esd", root, bracket, iterations,
+                      diagnostic=f"score {post:.3e} one decay time past the root")
+    return result(
+        "asymptotic", None, bracket, iterations,
         diagnostic=(
             f"crossing near t = {root:.6g} not certified (score {post:.3e} stays above"
             f" {_CERTIFY_MARGIN:g})"
@@ -322,47 +301,23 @@ def _concurrence_death(params: StateParams, channel: ChannelSpec) -> DeathTimeRe
 
 
 def _half_life(params: StateParams, channel: ChannelSpec, measure: str) -> DeathTimeResult:
+    result = functools.partial(DeathTimeResult, closed_form_time=None)
+
     def closed(t: float) -> float:
         return float(closed_values(params, channel, t, (measure,))[measure])
 
     initial = closed(0.0)
     if initial <= _SCORE_THRESHOLD:
-        return DeathTimeResult(
-            kind="none",
-            time=None,
-            bracket=None,
-            iterations=0,
-            closed_form_time=None,
-            diagnostic=f"{measure} starts at {initial:.3e}; no half-life",
-        )
+        return result("none", None, None, 0,
+                      diagnostic=f"{measure} starts at {initial:.3e}; no half-life")
     target = 0.5 * initial
-
-    def excess(t: float) -> float:
-        return closed(t) - target
-
-    lo, hi = 0.0, 1.0 / channel.gamma
-    t_cap = _GAMMA_T_CAP / channel.gamma
-    while excess(hi) > 0.0:
-        lo = hi
-        hi *= 2.0
-        if hi > t_cap:
-            return DeathTimeResult(
-                kind="none",
-                time=None,
-                bracket=None,
-                iterations=0,
-                closed_form_time=None,
-                diagnostic=f"{measure} has not halved by gamma t = {_GAMMA_T_CAP:g}",
-            )
-    root, bracket, iterations = _bisect(excess, lo, hi)
-    return DeathTimeResult(
-        kind="half_life",
-        time=root,
-        bracket=bracket,
-        iterations=iterations,
-        closed_form_time=None,
-        diagnostic=f"{measure} falls to {target:.6g} (half its initial value)",
-    )
+    crossing = _crossing(lambda t: closed(t) - target, channel.gamma)
+    if crossing is None:
+        return result("none", None, None, 0,
+                      diagnostic=f"{measure} has not halved by gamma t = {_GAMMA_T_CAP:g}")
+    root, bracket, iterations = crossing
+    return result("half_life", root, bracket, iterations,
+                  diagnostic=f"{measure} falls to {target:.6g} (half its initial value)")
 
 
 # ---------------------------------------------------------------------------
@@ -413,48 +368,26 @@ def verify_suite(quick: bool = False, optimizer: OptimizerSettings | None = None
     thetas, times = _verify_grid(quick)
     axes = ("x", "y", "z")
     channels = {axis: ChannelSpec(axis=axis) for axis in axes}
+    names = ("concurrence", "geometric_discord", "quantum_discord")
 
-    # closed forms against the general-purpose oracles
-    err_c = err_g = err_v = err_x = 0.0
-    evolved: dict[tuple[str, float, float], np.ndarray] = {}
+    # closed forms against the general-purpose oracles, both read from one
+    # sweep as arrays indexed [measure, axis, theta, time]
+    grid = SweepGrid(tuple(thetas), tuple(times))
+    table = sweep(grid, axes, names, include_oracle=True, optimizer=optimizer)
+    err_c, err_g, err_q = np.abs(table.closed - table.oracle).max(axis=(1, 2, 3)).tolist()
+    err_v = err_x = 0.0
     for theta in thetas:
         params = make_params(theta)
         rho0 = initial_state(params)
         for axis in axes:
             for t in times:
                 rho = kraus_apply(rho0, channels[axis], t)
-                evolved[(axis, theta, t)] = rho
                 err_v = max(err_v, float(np.abs(rho - analytic_evolve(params, channels[axis], t)).max()))
                 err_x = max(err_x, x_structure_defect(rho))
-                err_c = max(
-                    err_c,
-                    abs(concurrence(rho).value - concurrence_closed(params, channels[axis], t).value),
-                )
-                err_g = max(
-                    err_g,
-                    abs(
-                        geometric_discord(rho).value
-                        - geometric_discord_closed(params, channels[axis], t).value
-                    ),
-                )
     checks.append(_check("concurrence_closed_vs_oracle", err_c, 1e-9))
     checks.append(_check("geometric_discord_closed_vs_oracle", err_g, 1e-10))
     checks.append(_check("analytic_matrix_vs_kraus", err_v, 1e-13))
     checks.append(_check("evolved_states_keep_x_shape", err_x, 1e-13))
-
-    err_q = 0.0
-    for theta in thetas:
-        params = make_params(theta)
-        for axis in axes:
-            for t in times:
-                rho = evolved[(axis, theta, t)]
-                err_q = max(
-                    err_q,
-                    abs(
-                        quantum_discord(rho, settings=optimizer).value
-                        - quantum_discord_closed(params, channels[axis], t).value
-                    ),
-                )
     checks.append(_check("quantum_discord_closed_vs_oracle", err_q, 1e-5))
 
     # expanded discord formulas against the entropy pipeline
@@ -506,22 +439,13 @@ def verify_suite(quick: bool = False, optimizer: OptimizerSettings | None = None
     checks.append(_check("esd_time_closed_forms_agree", err_forms, 1e-12))
     checks.append(_check("esd_bisection_vs_closed_form", err_root, 1e-6))
 
-    # the x and z channels are indistinguishable on this family
-    err_xz = 0.0
-    for theta in thetas:
-        params = make_params(theta)
-        for t in times:
-            for fn in (concurrence_closed, geometric_discord_closed, quantum_discord_closed):
-                err_xz = max(
-                    err_xz,
-                    abs(fn(params, channels["x"], t).value - fn(params, channels["z"], t).value),
-                )
-            rho_x = evolved[("x", theta, t)]
-            rho_z = evolved[("z", theta, t)]
-            err_xz = max(err_xz, abs(concurrence(rho_x).value - concurrence(rho_z).value))
-            err_xz = max(
-                err_xz, abs(geometric_discord(rho_x).value - geometric_discord(rho_z).value)
-            )
+    # the x and z channels (axes 0 and 2) are indistinguishable on this
+    # family: every closed measure, and the concurrence and geometric discord
+    # oracles (measures 0 and 1)
+    err_xz = max(
+        float(np.abs(table.closed[:, 0] - table.closed[:, 2]).max()),
+        float(np.abs(table.oracle[:2, 0] - table.oracle[:2, 2]).max()),
+    )
     checks.append(_check("x_and_z_axes_agree", err_xz, 1e-9))
 
     # integrator against the exact map
@@ -568,11 +492,9 @@ def verify_suite(quick: bool = False, optimizer: OptimizerSettings | None = None
     # t = 0 trends and the y axis floor
     t0_thetas = [0.05 + k * (math.pi / 2 - 0.1) / 19 for k in range(20)]
     trend_ok = True
-    for fn in (concurrence_closed, geometric_discord_closed, quantum_discord_closed):
-        left = [fn(make_params(th)).value for th in t0_thetas]
-        right = [fn(make_params(math.pi - th)).value for th in t0_thetas]
-        trend_ok = trend_ok and all(a > b for a, b in zip(left, left[1:]))
-        trend_ok = trend_ok and all(a > b for a, b in zip(right, right[1:]))
+    for side in (t0_thetas, [math.pi - th for th in t0_thetas]):
+        values = closed_values([make_params(th) for th in side], None, 0.0, names)
+        trend_ok = trend_ok and all(bool((np.diff(values[n]) < 0).all()) for n in names)
     checks.append(
         VerifyCheck(
             "initial_measures_peak_at_theta_zero_and_pi",
@@ -594,7 +516,9 @@ def verify_suite(quick: bool = False, optimizer: OptimizerSettings | None = None
     )
 
     # optimizer robustness: doubling the seed grid must not move the answer
-    rho_ref = evolved.get(("x", thetas[len(thetas) // 2], times[2]))
+    rho_ref = kraus_apply(
+        initial_state(make_params(thetas[len(thetas) // 2])), channels["x"], times[2]
+    )
     base = quantum_discord(rho_ref, settings=OptimizerSettings(grid_points=1024)).value
     dense = quantum_discord(rho_ref, settings=OptimizerSettings(grid_points=2048)).value
     checks.append(_check("optimizer_grid_doubling_stable", abs(base - dense), 1e-6))

@@ -2,6 +2,7 @@
 import argparse
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,12 @@ def test_parse_angle_tokens():
     assert parse_angle("3pi/4") == pytest.approx(3 * math.pi / 4)
     assert parse_angle("0.5*pi") == pytest.approx(math.pi / 2)
     assert parse_angle("1.25") == 1.25
+    assert parse_angle("-pi/4") == pytest.approx(-math.pi / 4)
+    assert parse_angle("+3pi/4") == pytest.approx(3 * math.pi / 4)
+    assert parse_angle("-0.5*pi") == pytest.approx(-math.pi / 2)
+    assert parse_angle("2e-1pi") == pytest.approx(0.2 * math.pi)
+    assert parse_angle("-0.7") == -0.7
+    assert parse_angle("1e-3") == 1e-3
     with pytest.raises(argparse.ArgumentTypeError):
         parse_angle("two")
     with pytest.raises(argparse.ArgumentTypeError):
@@ -42,6 +49,32 @@ def test_state_json_payload(capsys):
     re = np.array(payload["state"]["re"]).reshape(4, 4)
     assert re[0, 0] == pytest.approx(0.125)
     assert re[1, 2] == pytest.approx(-0.375)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("state_pi_4.txt", ["state", "--theta", "pi/4"]),
+        ("state_pi_4.json", ["state", "--theta", "pi/4", "--json"]),
+        ("evolve_z_check.txt", ["evolve", "--theta", "pi/4", "--axis", "z", "--time", "0.5", "--check"]),
+        ("evolve_z_check.json",
+         ["evolve", "--theta", "pi/4", "--axis", "z", "--time", "0.5", "--check", "--json"]),
+    ],
+)
+def test_state_and_evolve_output_golden(capsys, golden, argv):
+    # byte for byte, JSON key order included
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_negative_angle_joined_to_its_option(capsys):
+    code, out = run(capsys, "state", "--theta=-pi/4", "--json", "--measures", "concurrence")
+    assert code == 0
+    assert json.loads(out)["theta"] == pytest.approx(-math.pi / 4)
 
 
 def test_state_degrees_flag(capsys):
@@ -222,6 +255,10 @@ def test_verify_quick_text_lines(capsys):
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["state", "--theta", "nonsense"])
+    assert err.value.code == 2
+    # argparse reads a separate "-pi/4" as an option, so --theta has no value
+    with pytest.raises(SystemExit) as err:
+        main(["state", "--theta", "-pi/4"])
     assert err.value.code == 2
     with pytest.raises(SystemExit) as err:
         main(["sweep", "--thetas", "pi/4", "--times", "0,1", "--measures", "bogus"])

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from qcorr.channels import ChannelSpec
+from qcorr.channels import ChannelSpec, kraus_apply
 from qcorr.dynamics import (
     MEASURE_NAMES,
     SweepGrid,
+    _verify_grid,
     closed_death_time,
     closed_death_time_trig,
     death_time,
@@ -15,11 +16,14 @@ from qcorr.dynamics import (
     verify_suite,
 )
 from qcorr.measures import (
+    concurrence,
     concurrence_closed,
+    geometric_discord,
     geometric_discord_closed,
+    quantum_discord,
     quantum_discord_closed,
 )
-from qcorr.states import make_params
+from qcorr.states import initial_state, make_params
 
 ESD_ANGLES = (math.pi / 8, math.pi / 4, 3 * math.pi / 8, 5 * math.pi / 8)
 
@@ -222,6 +226,16 @@ def test_half_life_of_quantum_discord():
     assert quantum_discord_closed(p, ch, res.time).value == pytest.approx(target, abs=1e-8)
 
 
+def test_death_time_none_when_concurrence_starts_at_zero_and_stays_there():
+    # at the balanced angle y noise leaves c = (0, -1, 0) unchanged, so the
+    # score never turns negative and nothing is certified
+    res = death_time(make_params(math.pi / 2), ChannelSpec(axis="y"))
+    assert res.kind == "none"
+    assert res.time is None and res.bracket is None and res.iterations == 0
+    assert res.closed_form_time is None
+    assert res.diagnostic == "concurrence starts at zero and never turns decisively negative"
+
+
 def test_half_life_none_when_measure_starts_at_zero():
     res = death_time(make_params(math.pi / 2), ChannelSpec(axis="z"), measure="geometric_discord")
     assert res.kind == "none"
@@ -267,3 +281,45 @@ def test_verify_check_fields_are_filled():
     for c in report.checks:
         assert c.check_id and c.detail
         assert c.status in ("pass", "fail", "expected_fail")
+
+
+def test_verify_closed_vs_oracle_errors_match_the_per_point_loops():
+    # reference: the scalar closed wrappers against each oracle on one
+    # kraus_apply state per (theta, axis, t), and x against z for every
+    # closed measure and the concurrence and geometric discord oracles
+    closed_fns = {
+        "concurrence": concurrence_closed,
+        "geometric_discord": geometric_discord_closed,
+        "quantum_discord": quantum_discord_closed,
+    }
+    oracles = {
+        "concurrence": concurrence,
+        "geometric_discord": geometric_discord,
+        "quantum_discord": quantum_discord,
+    }
+    err = dict.fromkeys(closed_fns, 0.0)
+    err_xz = 0.0
+    thetas, times = _verify_grid(quick=True)
+    for theta in thetas:
+        params = make_params(theta)
+        rho0 = initial_state(params)
+        for t in times:
+            values = {}
+            for axis in ("x", "y", "z"):
+                channel = ChannelSpec(axis=axis)
+                rho = kraus_apply(rho0, channel, t)
+                for name in closed_fns:
+                    closed = closed_fns[name](params, channel, t).value
+                    oracle = oracles[name](rho).value
+                    err[name] = max(err[name], abs(oracle - closed))
+                    values[axis, name] = (closed, oracle)
+            for name in closed_fns:
+                (closed_x, oracle_x), (closed_z, oracle_z) = values["x", name], values["z", name]
+                err_xz = max(err_xz, abs(closed_x - closed_z))
+                if name != "quantum_discord":
+                    err_xz = max(err_xz, abs(oracle_x - oracle_z))
+
+    report = {c.check_id: c.max_error for c in verify_suite(quick=True).checks}
+    for name in closed_fns:
+        assert report[f"{name}_closed_vs_oracle"] == err[name]
+    assert report["x_and_z_axes_agree"] == err_xz
