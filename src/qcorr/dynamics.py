@@ -233,7 +233,6 @@ def death_time(
     params: StateParams,
     channel: ChannelSpec,
     measure: str = "concurrence",
-    optimizer: OptimizerSettings | None = None,
 ) -> DeathTimeResult:
     """Find when a measure dies (concurrence) or halves (discords).
 

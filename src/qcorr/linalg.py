@@ -107,8 +107,8 @@ def clamp_spectrum(w: np.ndarray, tol: float = ZERO_EIGENVALUE_TOL) -> np.ndarra
     return w
 
 
-def von_neumann_entropy(rho: np.ndarray, base2: bool = True) -> float:
-    """Entropy -sum(w log w) of a density matrix, in bits by default.
+def von_neumann_entropy(rho: np.ndarray) -> float:
+    """Entropy -sum(w log2 w) of a density matrix, in bits.
 
     Eigenvalues within 1e-12 of zero are clamped to zero first; an eigenvalue
     below -1e-10 means the input is not a state and raises.
@@ -118,12 +118,11 @@ def von_neumann_entropy(rho: np.ndarray, base2: bool = True) -> float:
         raise ValueError(f"negative eigenvalue {w.min():.3e} — not a density matrix")
     w = clamp_spectrum(w)
     w = w[w > 0.0]
-    log = np.log2 if base2 else np.log
-    return float(-np.sum(w * log(w)))
+    return float(-np.sum(w * np.log2(w)))
 
 
-def binary_entropy(p: float, base2: bool = True) -> float:
-    """Entropy of a (p, 1-p) distribution, in bits by default.
+def binary_entropy(p: float) -> float:
+    """Entropy of a (p, 1-p) distribution, in bits.
 
     Arguments within 1e-12 outside [0, 1] are treated as the nearest
     endpoint; anything further out is rejected.
@@ -133,5 +132,4 @@ def binary_entropy(p: float, base2: bool = True) -> float:
     p = min(1.0, max(0.0, p))
     if p in (0.0, 1.0):
         return 0.0
-    log = np.log2 if base2 else np.log
-    return float(-p * log(p) - (1.0 - p) * log(1.0 - p))
+    return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))

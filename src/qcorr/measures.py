@@ -57,7 +57,7 @@ from .linalg import (
     pauli_coefficients,
     von_neumann_entropy,
 )
-from .states import InvalidStateError, StateParams, bloch_decompose, validate_density_matrix
+from .states import InvalidStateError, StateParams, validate_density_matrix
 
 __all__ = [
     "MeasureResult",
@@ -137,11 +137,19 @@ class OptimizerDiagnostics:
     final_window: float
 
 
-def _finalize(value: float) -> float:
-    """Clamp negative dust to zero; anything decisively negative is a bug."""
-    if value < -1e-9:
-        raise InvalidStateError(f"measure evaluated to {value:.3e}, below the -1e-9 floor")
-    return 0.0 if value < 0.0 else float(value)
+def _finalize(values: np.ndarray | float) -> np.ndarray:
+    """Clamp negative dust to zero elementwise; anything decisively negative is a bug."""
+    values = np.asarray(values, dtype=float)
+    low = values < -1e-9
+    if low.any():
+        raise InvalidStateError(
+            f"measure evaluated to {values[low].min():.3e}, below the -1e-9 floor"
+        )
+    return np.where(values < 0.0, 0.0, values)
+
+
+def _oracle(value: float, optimizer: OptimizerDiagnostics | None = None) -> MeasureResult:
+    return MeasureResult(value=float(_finalize(value)), method="oracle", optimizer=optimizer)
 
 
 # ---------------------------------------------------------------------------
@@ -159,30 +167,26 @@ def wootters_score(rho: np.ndarray) -> float:
 
     The chi_i are the descending square roots of the eigenvalues of
     rho @ spin_flip(rho), computed through the Hermitian form
-    sqrt(rho) @ spin_flip(rho) @ sqrt(rho) whenever rho is Hermitian PSD, with
-    a general-eigenvalue fallback otherwise.  Eigenvalues within 1e-12 of zero
-    are treated as exact zeros before the square root; the family's states
-    always carry such structural zeros, and taking sqrt of their dust would
-    cost eight orders of magnitude of accuracy.
+    sqrt(rho) @ spin_flip(rho) @ sqrt(rho), which has the same spectrum for
+    every validated (PSD) rho.  Eigenvalues within 1e-12 of zero are treated
+    as exact zeros before the square root; the family's states always carry
+    such structural zeros, and taking sqrt of their dust would cost eight
+    orders of magnitude of accuracy.
     """
-    rho = validate_density_matrix(rho)
-    flipped = _spin_flip(rho)
+    return _wootters_score(validate_density_matrix(rho))
+
+
+def _wootters_score(rho: np.ndarray) -> float:
     w, V = hermitian_eigen(rho)
-    if w.min() >= -ZERO_EIGENVALUE_TOL:
-        sqrt_rho = (V * np.sqrt(np.clip(w, 0.0, None))) @ dag(V)
-        ev = np.linalg.eigvalsh(sqrt_rho @ flipped @ sqrt_rho)
-    else:
-        ev = np.linalg.eigvals(rho @ flipped).real
-        ev = np.where((ev < 0.0) & (ev >= -1e-10), 0.0, ev)
-    ev = clamp_spectrum(ev)
-    chi = np.sqrt(np.clip(ev, 0.0, None))
-    chi = np.sort(chi)[::-1]
+    sqrt_rho = (V * np.sqrt(np.clip(w, 0.0, None))) @ dag(V)
+    ev = clamp_spectrum(np.linalg.eigvalsh(sqrt_rho @ _spin_flip(rho) @ sqrt_rho))
+    chi = np.sort(np.sqrt(np.clip(ev, 0.0, None)))[::-1]
     return float(chi[0] - chi[1] - chi[2] - chi[3])
 
 
 def concurrence(rho: np.ndarray) -> MeasureResult:
     """Spin-flip concurrence max(0, chi1 - chi2 - chi3 - chi4) in [0, 1]."""
-    return MeasureResult(value=_finalize(max(0.0, wootters_score(rho))), method="oracle")
+    return _oracle(max(0.0, wootters_score(rho)))
 
 
 def uncorrected_x_concurrence(params: StateParams, channel: ChannelSpec, t: float) -> float:
@@ -205,13 +209,15 @@ def geometric_discord(rho: np.ndarray) -> MeasureResult:
     """Hilbert-Schmidt geometric discord from Bloch data.
 
     DG = (1/4)(|y|^2 + |T|^2 - k) with k the largest eigenvalue of
-    y y^T + T^T T; bounded by 1/2 for two qubits.
+    y y^T + T^T T, y the Bloch vector of B; bounded by 1/2 for two qubits.
     """
-    form = bloch_decompose(rho)
-    y, T = form.y, form.T
+    return _oracle(_geometric_discord(validate_density_matrix(rho)))
+
+
+def _geometric_discord(rho: np.ndarray) -> float:
+    _, y, T = _side_bloch(rho, "A")
     k = float(np.linalg.eigvalsh(np.outer(y, y) + T.T @ T)[-1])
-    value = 0.25 * (float(y @ y) + float(np.sum(T * T)) - k)
-    return MeasureResult(value=_finalize(value), method="oracle")
+    return 0.25 * (float(y @ y) + float(np.sum(T * T)) - k)
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +226,15 @@ def geometric_discord(rho: np.ndarray) -> MeasureResult:
 
 def mutual_information(rho: np.ndarray) -> MeasureResult:
     """I = S(A) + S(B) - S(AB) in bits."""
-    rho = validate_density_matrix(rho)
-    value = (
+    return _oracle(_mutual_information(validate_density_matrix(rho)))
+
+
+def _mutual_information(rho: np.ndarray) -> float:
+    return (
         von_neumann_entropy(partial_trace(rho, "A"))
         + von_neumann_entropy(partial_trace(rho, "B"))
         - von_neumann_entropy(rho)
     )
-    return MeasureResult(value=_finalize(value), method="oracle")
 
 
 def quantum_discord_xz_expanded(params: StateParams, channel: ChannelSpec, t: float) -> float:
@@ -364,16 +372,6 @@ _TRIPLE_MEASURES = {
 MEASURE_NAMES: tuple[str, ...] = tuple(_TRIPLE_MEASURES)
 
 
-def _finalize_array(values: np.ndarray) -> np.ndarray:
-    """_finalize elementwise."""
-    low = values < -1e-9
-    if low.any():
-        raise InvalidStateError(
-            f"measure evaluated to {values[low].min():.3e}, below the -1e-9 floor"
-        )
-    return np.where(values < 0.0, 0.0, values)
-
-
 def closed_values(
     params: StateParams | Sequence[StateParams],
     channel: ChannelSpec | None = None,
@@ -387,7 +385,7 @@ def closed_values(
         if name not in _TRIPLE_MEASURES:
             raise ValueError(f"unknown measure {name!r}; choose from {sorted(MEASURE_NAMES)}")
     c = _correlation_triple(params, channel, t)
-    return {name: _finalize_array(_TRIPLE_MEASURES[name](c)) for name in names}
+    return {name: _finalize(_TRIPLE_MEASURES[name](c)) for name in names}
 
 
 def _closed_result(
@@ -567,10 +565,16 @@ def optimal_conditional_entropy(
     probability below 1e-14 contributes zero.  Ties on the grid resolve to
     the lexicographically smallest direction, keeping the result unique.
     """
+    return _optimal_conditional_entropy(validate_density_matrix(rho), measured_side, settings)
+
+
+def _optimal_conditional_entropy(
+    rho: np.ndarray, measured_side: str, settings: OptimizerSettings | None
+) -> MeasureResult:
     if measured_side not in _SIDE_NAMES:
         raise ValueError(f"measured_side must be 'A' or 'B', got {measured_side!r}")
     settings = settings or OptimizerSettings()
-    a, b, T = _side_bloch(validate_density_matrix(rho), measured_side)
+    a, b, T = _side_bloch(rho, measured_side)
 
     dirs = _fibonacci_sphere(settings.grid_points)
     values = _conditional_entropy_batch(a, b, T, dirs)
@@ -613,20 +617,17 @@ def optimal_conditional_entropy(
         evaluations=evaluations,
         final_window=final_window,
     )
-    return MeasureResult(value=_finalize(best_value), method="oracle", optimizer=diag)
+    return _oracle(best_value, diag)
 
 
 def _classical_from(rho: np.ndarray, measured_side: str, sc: MeasureResult) -> MeasureResult:
     other = "B" if measured_side == "A" else "A"
-    s_other = von_neumann_entropy(partial_trace(rho, other))
-    value = s_other - sc.value
-    return MeasureResult(value=_finalize(value), method="oracle", optimizer=sc.optimizer)
+    return _oracle(von_neumann_entropy(partial_trace(rho, other)) - sc.value, sc.optimizer)
 
 
 def _discord_from(rho: np.ndarray, measured_side: str, sc: MeasureResult) -> MeasureResult:
     s_measured = von_neumann_entropy(partial_trace(rho, measured_side))
-    value = s_measured - von_neumann_entropy(rho) + sc.value
-    return MeasureResult(value=_finalize(value), method="oracle", optimizer=sc.optimizer)
+    return _oracle(s_measured - von_neumann_entropy(rho) + sc.value, sc.optimizer)
 
 
 def classical_correlation(
@@ -636,7 +637,7 @@ def classical_correlation(
 ) -> MeasureResult:
     """CC = S(unmeasured marginal) - min conditional entropy."""
     rho = validate_density_matrix(rho)
-    sc = optimal_conditional_entropy(rho, measured_side, settings)
+    sc = _optimal_conditional_entropy(rho, measured_side, settings)
     return _classical_from(rho, measured_side, sc)
 
 
@@ -651,15 +652,15 @@ def quantum_discord(
     the mutual-information route is exercised by the tests.
     """
     rho = validate_density_matrix(rho)
-    sc = optimal_conditional_entropy(rho, measured_side, settings)
+    sc = _optimal_conditional_entropy(rho, measured_side, settings)
     return _discord_from(rho, measured_side, sc)
 
 
-# looked up at call time, so wrappers installed on this module see every call
+# kernels on an already validated state, before the floor
 _DIRECT_ORACLES = {
-    "concurrence": lambda rho: concurrence(rho),
-    "geometric_discord": lambda rho: geometric_discord(rho),
-    "mutual_information": lambda rho: mutual_information(rho),
+    "concurrence": lambda rho: max(0.0, _wootters_score(rho)),
+    "geometric_discord": _geometric_discord,
+    "mutual_information": _mutual_information,
 }
 _OPTIMIZER_ORACLES = {
     "quantum_discord": _discord_from,
@@ -681,10 +682,10 @@ def oracle_values(
     for name in names:
         if name in _OPTIMIZER_ORACLES:
             if sc is None:
-                sc = optimal_conditional_entropy(rho, "A", settings)
+                sc = _optimal_conditional_entropy(rho, "A", settings)
             values[name] = _OPTIMIZER_ORACLES[name](rho, "A", sc).value
         elif name in _DIRECT_ORACLES:
-            values[name] = _DIRECT_ORACLES[name](rho).value
+            values[name] = float(_finalize(_DIRECT_ORACLES[name](rho)))
         else:
             raise ValueError(f"unknown measure {name!r}")
     return values

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULI_BASIS, dag, hermitian_eigen, pauli_coefficients
+from .linalg import PAULI_BASIS, dag, pauli_coefficients
 
 __all__ = [
     "StateParams",
@@ -97,17 +97,17 @@ def bloch_compose(form: BlochForm) -> np.ndarray:
     return np.einsum("k,kij->ij", r.ravel(), PAULI_BASIS) / 4.0
 
 
-def validate_density_matrix(
-    rho: np.ndarray,
-    trace_tol: float = 1e-12,
-    herm_tol: float = 1e-12,
-    eig_floor: float = -1e-10,
-) -> np.ndarray:
+_TRACE_TOL = 1e-12
+_HERM_TOL = 1e-12
+# tolerates integrator-sized dust on the family's exact zero eigenvalues
+_EIG_FLOOR = -1e-10
+
+
+def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Check trace one, Hermiticity, and positivity; return rho as complex array.
 
     Raises InvalidStateError with a description of the first violated
-    property.  The eigenvalue floor tolerates integrator-sized dust on the
-    family's exact zero eigenvalues.
+    property.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
@@ -115,14 +115,14 @@ def validate_density_matrix(
     if not np.all(np.isfinite(rho.view(float))):
         raise InvalidStateError("density matrix contains non-finite entries")
     tr = np.trace(rho)
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > _TRACE_TOL:
         raise InvalidStateError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
     herm = np.abs(rho - dag(rho)).max()
-    if herm > herm_tol:
-        raise InvalidStateError(f"Hermiticity defect {herm:.3e} exceeds {herm_tol}")
-    w, _ = hermitian_eigen(rho, tol=herm_tol * 10)
-    if w.min() < eig_floor:
-        raise InvalidStateError(f"negative eigenvalue {w.min():.3e} below floor {eig_floor}")
+    if herm > _HERM_TOL:
+        raise InvalidStateError(f"Hermiticity defect {herm:.3e} exceeds {_HERM_TOL}")
+    low = np.linalg.eigvalsh(rho)[0]
+    if low < _EIG_FLOOR:
+        raise InvalidStateError(f"negative eigenvalue {low:.3e} below floor {_EIG_FLOOR}")
     return rho
 
 

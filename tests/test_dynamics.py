@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qcorr import dynamics
 from qcorr.channels import ChannelSpec, kraus_apply
 from qcorr.dynamics import (
     MEASURE_NAMES,
@@ -323,3 +324,27 @@ def test_verify_closed_vs_oracle_errors_match_the_per_point_loops():
     for name in closed_fns:
         assert report[f"{name}_closed_vs_oracle"] == err[name]
     assert report["x_and_z_axes_agree"] == err_xz
+
+
+@pytest.mark.parametrize(
+    "column, measure",
+    [
+        ("closed", "concurrence"),
+        ("closed", "geometric_discord"),
+        ("closed", "quantum_discord"),
+        ("oracle", "concurrence"),
+        ("oracle", "geometric_discord"),
+    ],
+)
+def test_every_x_and_z_term_is_checked(monkeypatch, column, measure):
+    # moving one z slice off its x twin must fail the check on its own
+    real_sweep = dynamics.sweep
+
+    def nudged(*args, **kwargs):
+        table = real_sweep(*args, **kwargs)
+        getattr(table, column)[table.measures.index(measure), table.axes.index("z")] += 1e-6
+        return table
+
+    monkeypatch.setattr(dynamics, "sweep", nudged)
+    statuses = {c.check_id: c.status for c in verify_suite(quick=True).checks}
+    assert statuses["x_and_z_axes_agree"] == "fail"

@@ -9,6 +9,7 @@ import pytest
 from qcorr.channels import ChannelSpec, decay_factor, evolution_point, kraus_apply
 from qcorr.dynamics import MEASURE_NAMES, SweepGrid, sweep
 from qcorr.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, ZERO_EIGENVALUE_TOL, binary_entropy
+from qcorr import measures
 from qcorr.measures import (
     MAX_GRID_POINTS,
     OptimizerSettings,
@@ -36,7 +37,7 @@ from qcorr.measures import (
     uncorrected_x_concurrence,
     wootters_score,
 )
-from qcorr.states import initial_state, make_params
+from qcorr.states import InvalidStateError, bloch_decompose, initial_state, make_params
 
 PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
 PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -120,8 +121,8 @@ def test_wootters_score_goes_negative_past_death():
 
 
 def test_concurrence_general_route_handles_negative_dust():
-    # smallest eigenvalue sits between the validation floor and the clamp,
-    # which forces the non-PSD fallback path
+    # smallest eigenvalue sits between the validation floor and the clamp;
+    # the Hermitian route clips it to zero before the square root
     rho = np.diag([0.5, 0.5 + 5e-11, -5e-11, 0.0]).astype(complex)
     assert concurrence(rho).value == pytest.approx(0.0, abs=1e-6)
 
@@ -648,3 +649,52 @@ def test_small_discord_keeps_its_relative_accuracy():
             want = float((sum(map(g, x)) / 4 - (g(phi) + g(-phi)) / 2) / Decimal(2).ln())
             assert 0.0 < want < 1e-10
             assert quantum_discord_closed(p, ch, t).value == pytest.approx(want, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# validation at the API boundary
+# ---------------------------------------------------------------------------
+
+_VALIDATED_ORACLES = {
+    "oracle_values": lambda rho: oracle_values(rho, MEASURE_NAMES),
+    "quantum_discord": quantum_discord,
+    "classical_correlation": classical_correlation,
+    "concurrence": concurrence,
+    "geometric_discord": geometric_discord,
+    "mutual_information": mutual_information,
+    "optimal_conditional_entropy": optimal_conditional_entropy,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VALIDATED_ORACLES))
+def test_each_oracle_call_validates_its_state_once(monkeypatch, name):
+    rho = kraus_apply(initial_state(make_params(0.7)), ChannelSpec(axis="z"), 0.3)
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return validate(m)
+
+    validate = measures.validate_density_matrix
+    monkeypatch.setattr(measures, "validate_density_matrix", counting)
+    _VALIDATED_ORACLES[name](rho)
+    assert len(calls) == 1
+
+
+_NOT_STATES = {
+    "trace_two": (2.0 * werner(0.5), "trace deviates"),
+    "non_hermitian": (werner(0.5) + np.diag([1e-3, 0.0, 0.0], k=1), "Hermiticity defect"),
+    "negative_eigenvalue": (np.diag([0.501, 0.3, 0.2, -1e-3]).astype(complex), "negative eigenvalue"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_STATES))
+@pytest.mark.parametrize(
+    "oracle",
+    [*_VALIDATED_ORACLES.values(), wootters_score, bloch_decompose],
+    ids=[*_VALIDATED_ORACLES, "wootters_score", "bloch_decompose"],
+)
+def test_every_oracle_rejects_non_states(oracle, case):
+    rho, message = _NOT_STATES[case]
+    with pytest.raises(InvalidStateError, match=message):
+        oracle(rho)
