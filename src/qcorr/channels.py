@@ -170,9 +170,13 @@ def uncorrected_y_matrix(params: StateParams, channel: ChannelSpec, t: float) ->
 def integrate_rk4(rho0: np.ndarray, channel: ChannelSpec, t: float, steps: int) -> np.ndarray:
     """Classical fixed-step fourth-order Runge-Kutta on lindblad_rhs.
 
-    The output is re-Hermitized by (M + M†)/2 at the end.  With 1000 steps
-    over gamma t <= 3 the result matches the exact Kraus map within 1e-8
-    entrywise (in practice far better).
+    lindblad_rhs is linear, rho' = A rho with A the 16x16 matrix of its
+    action on the basis matrices, so one RK4 step of size h is the fixed
+    propagator P = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24; it is built
+    once and applied steps times.  The output is re-Hermitized by
+    (M + M†)/2 at the end.  With 1000 steps over gamma t <= 3 the result
+    matches the exact Kraus map within 1e-8 entrywise (in practice far
+    better).
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -181,11 +185,15 @@ def integrate_rk4(rho0: np.ndarray, channel: ChannelSpec, t: float, steps: int) 
     rho = np.asarray(rho0, dtype=complex).copy()
     if t == 0:
         return rho
-    h = t / steps
+    hA = (t / steps) * np.stack(
+        [lindblad_rhs(basis, channel).ravel() for basis in np.eye(16).reshape(16, 4, 4)], axis=1
+    )
+    term = P = np.eye(16, dtype=complex)
+    for k in range(1, 5):
+        term = term @ hA / k
+        P = P + term
+    v = rho.ravel()
     for _ in range(steps):
-        k1 = lindblad_rhs(rho, channel)
-        k2 = lindblad_rhs(rho + (h / 2.0) * k1, channel)
-        k3 = lindblad_rhs(rho + (h / 2.0) * k2, channel)
-        k4 = lindblad_rhs(rho + h * k3, channel)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        v = P @ v
+    rho = v.reshape(4, 4)
     return (rho + dag(rho)) / 2.0

@@ -100,6 +100,8 @@ class SweepRow:
 class SweepTable(Sequence):
     """Sweep values stored by column: closed[m, a, i, j] (and oracle, when
     computed) belongs to measures[m], axes[a], thetas[i] and gamma_ts[j].
+    With oracles, states[a, i, j] is the evolved 4x4 state they were read
+    from.
 
     Reads as the sequence of SweepRow in row order: measure-major, then
     channel, theta, time.
@@ -111,6 +113,7 @@ class SweepTable(Sequence):
     gamma_ts: tuple[float, ...]
     closed: np.ndarray
     oracle: Optional[np.ndarray] = None
+    states: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return self.closed.size
@@ -141,8 +144,9 @@ def sweep(
     """Evaluate closed-form measures (and optionally the oracles) over the
     grid.  The closed forms take one array evaluation per channel over the
     whole (theta, time) grid.  With oracles, each (channel, theta, time)
-    state is evolved once and every measure is read from it, the two
-    entropic measures from one optimizer run."""
+    state is evolved once into one stack, and one oracle_values call reads
+    every measure from it, the two entropic measures from one optimizer
+    run."""
     channels = [ChannelSpec(axis=axis, gamma=gamma, qubit=noisy_qubit) for axis in axes]
     params = [make_params(theta) for theta in grid.thetas]
     shape = (len(measures), len(channels), len(params), len(grid.times))
@@ -153,16 +157,15 @@ def sweep(
         for m, name in enumerate(measures):
             closed[m, a] = values[name]
 
-    oracle = None
+    oracle = states = None
     if include_oracle:
-        oracle = np.empty(shape)
-        for a, channel in enumerate(channels):
-            for i, p in enumerate(params):
-                rho0 = initial_state(p)
-                for j, t in enumerate(grid.times):
-                    values = oracle_values(kraus_apply(rho0, channel, t), measures, optimizer)
-                    for m, name in enumerate(measures):
-                        oracle[m, a, i, j] = values[name]
+        initial = [initial_state(p) for p in params]
+        states = np.array([
+            kraus_apply(rho0, channel, t)
+            for channel in channels for rho0 in initial for t in grid.times
+        ]).reshape(shape[1:] + (4, 4))
+        values = oracle_values(states.reshape(-1, 4, 4), measures, optimizer)
+        oracle = np.array([values[name] for name in measures]).reshape(shape)
 
     return SweepTable(
         measures=tuple(measures),
@@ -171,6 +174,7 @@ def sweep(
         gamma_ts=tuple(gamma * t for t in grid.times),
         closed=closed,
         oracle=oracle,
+        states=states,
     )
 
 
@@ -375,12 +379,11 @@ def verify_suite(quick: bool = False, optimizer: OptimizerSettings | None = None
     table = sweep(grid, axes, names, include_oracle=True, optimizer=optimizer)
     err_c, err_g, err_q = np.abs(table.closed - table.oracle).max(axis=(1, 2, 3)).tolist()
     err_v = err_x = 0.0
-    for theta in thetas:
+    for i, theta in enumerate(thetas):
         params = make_params(theta)
-        rho0 = initial_state(params)
-        for axis in axes:
-            for t in times:
-                rho = kraus_apply(rho0, channels[axis], t)
+        for a, axis in enumerate(axes):
+            for j, t in enumerate(times):
+                rho = table.states[a, i, j]
                 err_v = max(err_v, float(np.abs(rho - analytic_evolve(params, channels[axis], t)).max()))
                 err_x = max(err_x, x_structure_defect(rho))
     checks.append(_check("concurrence_closed_vs_oracle", err_c, 1e-9))
@@ -502,10 +505,9 @@ def verify_suite(quick: bool = False, optimizer: OptimizerSettings | None = None
         )
     )
 
-    y_floor = min(
-        concurrence(kraus_apply(initial_state(make_params(math.pi / 3)), channels["y"], t)).value
-        for t in [0.5 * k for k in range(1, 11)]
-    )
+    rho_y = initial_state(make_params(math.pi / 3))
+    y_states = np.array([kraus_apply(rho_y, channels["y"], 0.5 * k) for k in range(1, 11)])
+    y_floor = float(oracle_values(y_states, ("concurrence",))["concurrence"].min())
     checks.append(
         VerifyCheck(
             "y_axis_concurrence_stays_positive",

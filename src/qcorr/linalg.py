@@ -57,28 +57,40 @@ def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
 
     Parameters
     ----------
-    rho : (4, 4) array
-        Two-qubit operator in the computational product basis.
+    rho : (..., 4, 4) array
+        Two-qubit operator in the computational product basis, or a stack of
+        them.
     keep : {"A", "B"}
         Which qubit's reduced operator to return.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"partial_trace expects a 4x4 matrix, got shape {rho.shape}")
     if keep not in ("A", "B"):
         raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
-    r = rho.reshape(2, 2, 2, 2)
+    r = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
     if keep == "A":
-        return np.einsum("abcb->ac", r)
-    return np.einsum("abad->bd", r)
+        return np.einsum("...abcb->...ac", r)
+    return np.einsum("...abad->...bd", r)
+
+
+# sigma_i (x) sigma_j has one nonzero entry per row r, at column
+# _PAULI_COLUMNS[k, r] with value _PAULI_ENTRIES[k, r] in {+-1, +-i}
+_PAULI_COLUMNS = np.abs(PAULI_BASIS).argmax(axis=2)
+_PAULI_ENTRIES = np.take_along_axis(PAULI_BASIS, _PAULI_COLUMNS[..., None], axis=2)[..., 0]
 
 
 def pauli_coefficients(rho: np.ndarray) -> np.ndarray:
     """Real 4x4 array R with R[i, j] = Re tr(rho sigma_i (x) sigma_j), where
     sigma_0 = I; for a density matrix R[0, 0] = 1, R[1:, 0] and R[0, 1:] are
     the local Bloch vectors of A and B, and R[1:, 1:] is the correlation
-    matrix."""
-    return np.einsum("kij,ji->k", PAULI_BASIS, rho).real.reshape(4, 4)
+    matrix.  A stack of shape (..., 4, 4) gives one R per member.
+
+    Each trace is the sum of the four products sigma[r, c] rho[c, r], added
+    in row order, so a state's R does not depend on the stack around it."""
+    rho = np.asarray(rho, dtype=complex)
+    terms = rho[..., _PAULI_COLUMNS, np.arange(4)] * _PAULI_ENTRIES
+    return terms.real.sum(axis=-1).reshape(rho.shape[:-2] + (4, 4))
 
 
 def is_hermitian(m: np.ndarray, tol: float = 1e-10) -> bool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULI_BASIS, dag, pauli_coefficients
+from .linalg import PAULI_BASIS, pauli_coefficients
 
 __all__ = [
     "StateParams",
@@ -106,24 +106,35 @@ _EIG_FLOOR = -1e-10
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Check trace one, Hermiticity, and positivity; return rho as complex array.
 
-    Raises InvalidStateError with a description of the first violated
-    property.
+    rho is one 4x4 matrix or an (n, 4, 4) stack, checked as a whole.  Raises
+    InvalidStateError with a description of the first violated property;
+    for a stack, the message is the one the first member violating it would
+    raise on its own.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4):
         raise InvalidStateError(f"expected a 4x4 density matrix, got shape {rho.shape}")
     if not np.all(np.isfinite(rho.view(float))):
         raise InvalidStateError("density matrix contains non-finite entries")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > _TRACE_TOL:
-        raise InvalidStateError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-    herm = np.abs(rho - dag(rho)).max()
-    if herm > _HERM_TOL:
-        raise InvalidStateError(f"Hermiticity defect {herm:.3e} exceeds {_HERM_TOL}")
-    low = np.linalg.eigvalsh(rho)[0]
-    if low < _EIG_FLOOR:
-        raise InvalidStateError(f"negative eigenvalue {low:.3e} below floor {_EIG_FLOOR}")
+    defect = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
+    if (defect > _TRACE_TOL).any():
+        raise InvalidStateError(f"trace deviates from 1 by {_first(defect > _TRACE_TOL, defect):.3e}")
+    herm = np.abs(rho - np.swapaxes(rho, -1, -2).conj()).max(axis=(-2, -1))
+    if (herm > _HERM_TOL).any():
+        raise InvalidStateError(
+            f"Hermiticity defect {_first(herm > _HERM_TOL, herm):.3e} exceeds {_HERM_TOL}"
+        )
+    low = np.linalg.eigvalsh(rho)[..., 0]
+    if (low < _EIG_FLOOR).any():
+        raise InvalidStateError(
+            f"negative eigenvalue {_first(low < _EIG_FLOOR, low):.3e} below floor {_EIG_FLOOR}"
+        )
     return rho
+
+
+def _first(bad: np.ndarray, values: np.ndarray) -> float:
+    """The value of the first flagged member (values may be 0-d)."""
+    return float(values.ravel()[np.flatnonzero(bad)[0]])
 
 
 _NON_X_ENTRIES = [(0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2)]

@@ -219,6 +219,32 @@ def test_rk4_is_fourth_order():
     assert math.log2(e40 / e80) == pytest.approx(4.0, abs=0.3)
 
 
+def rk4_step_loop(rho0, channel, t, steps):
+    """The four-stage RK4 loop on lindblad_rhs, one step at a time."""
+    rho = np.asarray(rho0, dtype=complex).copy()
+    h = t / steps
+    for _ in range(steps):
+        k1 = lindblad_rhs(rho, channel)
+        k2 = lindblad_rhs(rho + (h / 2.0) * k1, channel)
+        k3 = lindblad_rhs(rho + (h / 2.0) * k2, channel)
+        k4 = lindblad_rhs(rho + h * k3, channel)
+        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return (rho + rho.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("steps", [1, 40, 80, 1000])
+def test_rk4_propagator_matches_the_step_loop(steps):
+    rng = np.random.default_rng(53)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    full_rank = g @ g.conj().T / np.trace(g @ g.conj().T).real
+    for rho in (initial_state(math.pi / 5), full_rank):
+        for axis in "xyz":
+            for qubit in "AB":
+                ch = ChannelSpec(axis=axis, gamma=1.3, qubit=qubit)
+                want = rk4_step_loop(rho, ch, 3.0, steps)
+                assert np.abs(integrate_rk4(rho, ch, 3.0, steps) - want).max() <= 1e-13
+
+
 def test_rk4_argument_validation():
     rho = initial_state(1.0)
     ch = ChannelSpec(axis="x")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qcorr import dynamics
-from qcorr.channels import ChannelSpec, kraus_apply
+from qcorr.channels import ChannelSpec, analytic_evolve, kraus_apply
 from qcorr.dynamics import (
     MEASURE_NAMES,
     SweepGrid,
@@ -24,7 +24,7 @@ from qcorr.measures import (
     quantum_discord,
     quantum_discord_closed,
 )
-from qcorr.states import initial_state, make_params
+from qcorr.states import initial_state, make_params, x_structure_defect
 
 ESD_ANGLES = (math.pi / 8, math.pi / 4, 3 * math.pi / 8, 5 * math.pi / 8)
 
@@ -324,6 +324,33 @@ def test_verify_closed_vs_oracle_errors_match_the_per_point_loops():
     for name in closed_fns:
         assert report[f"{name}_closed_vs_oracle"] == err[name]
     assert report["x_and_z_axes_agree"] == err_xz
+
+
+def test_verify_matrix_checks_read_the_sweep_states():
+    # reference: one kraus_apply state per (theta, axis, t), as the checks
+    # computed them before the sweep handed its states over
+    err_v = err_x = 0.0
+    thetas, times = _verify_grid(quick=True)
+    for theta in thetas:
+        params = make_params(theta)
+        for axis in ("x", "y", "z"):
+            channel = ChannelSpec(axis=axis)
+            for t in times:
+                rho = kraus_apply(initial_state(params), channel, t)
+                err_v = max(err_v, float(np.abs(rho - analytic_evolve(params, channel, t)).max()))
+                err_x = max(err_x, x_structure_defect(rho))
+    report = {c.check_id: c.max_error for c in verify_suite(quick=True).checks}
+    assert report["analytic_matrix_vs_kraus"] == err_v
+    assert report["evolved_states_keep_x_shape"] == err_x
+
+
+def test_oracle_sweep_hands_back_its_states():
+    grid = SweepGrid(thetas=(0.4, 2.2), times=(0.0, 0.7, 1.5))
+    table = sweep(grid, axes=("x", "y"), measures=("concurrence",), include_oracle=True)
+    assert table.states.shape == (2, 2, 3, 4, 4)
+    want = kraus_apply(initial_state(2.2), ChannelSpec(axis="y"), 0.7)
+    np.testing.assert_array_equal(table.states[1, 1, 1], want)
+    assert sweep(grid, axes=("x",), measures=("concurrence",)).states is None
 
 
 @pytest.mark.parametrize(

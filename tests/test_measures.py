@@ -8,15 +8,29 @@ import pytest
 
 from qcorr.channels import ChannelSpec, decay_factor, evolution_point, kraus_apply
 from qcorr.dynamics import MEASURE_NAMES, SweepGrid, sweep
-from qcorr.linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, ZERO_EIGENVALUE_TOL, binary_entropy
+from qcorr.linalg import (
+    PAULI_I,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    ZERO_EIGENVALUE_TOL,
+    binary_entropy,
+    clamp_spectrum,
+    dag,
+    hermitian_eigen,
+    partial_trace,
+    pauli_coefficients,
+    von_neumann_entropy,
+)
 from qcorr import measures
 from qcorr.measures import (
     MAX_GRID_POINTS,
     OptimizerSettings,
-    _conditional_entropy_batch,
-    _conditional_entropy_scalar,
+    _conditional_entropy,
     _fibonacci_sphere,
-    _side_bloch,
+    _measurement_frame,
+    _optimize,
+    _wootters_scores,
     classical_correlation,
     classical_correlation_closed,
     closed_spectrum,
@@ -37,7 +51,13 @@ from qcorr.measures import (
     uncorrected_x_concurrence,
     wootters_score,
 )
-from qcorr.states import InvalidStateError, bloch_decompose, initial_state, make_params
+from qcorr.states import (
+    InvalidStateError,
+    bloch_decompose,
+    initial_state,
+    make_params,
+    validate_density_matrix,
+)
 
 PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
 PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -121,8 +141,8 @@ def test_wootters_score_goes_negative_past_death():
 
 
 def test_concurrence_general_route_handles_negative_dust():
-    # smallest eigenvalue sits between the validation floor and the clamp;
-    # the Hermitian route clips it to zero before the square root
+    # smallest eigenvalue sits between the validation floor and zero; the
+    # tau route clips it to zero before scaling its eigenvector by the root
     rho = np.diag([0.5, 0.5 + 5e-11, -5e-11, 0.0]).astype(complex)
     assert concurrence(rho).value == pytest.approx(0.0, abs=1e-6)
 
@@ -389,36 +409,54 @@ def _reference_conditional_entropy(rho, dirs, side):
 _KERNEL_DIRS = np.vstack([_fibonacci_sphere(256), np.eye(3), -np.eye(3)])
 
 
+def _stacked_conditional_entropy(rho, dirs, side):
+    m, b1 = _measurement_frame(pauli_coefficients(rho)[None], side)
+    return _conditional_entropy(dirs @ m, b1[:, None, :])[0]
+
+
 def _assert_kernel_matches_reference(rho):
     for side in ("A", "B"):
         want = _reference_conditional_entropy(rho, _KERNEL_DIRS, side)
-        a, b, T = _side_bloch(rho, side)
         np.testing.assert_allclose(
-            _conditional_entropy_batch(a, b, T, _KERNEL_DIRS), want, rtol=0.0, atol=1e-12
+            _stacked_conditional_entropy(rho, _KERNEL_DIRS, side), want, rtol=0.0, atol=1e-12
         )
-        a, b, T = a.tolist(), b.tolist(), T.tolist()
+        a, b, T = (v.tolist() for v in _side_bloch(rho, side))
         scalar = [_conditional_entropy_scalar(a, b, T, tuple(n)) for n in _KERNEL_DIRS.tolist()]
         np.testing.assert_allclose(scalar, want, rtol=0.0, atol=1e-12)
 
 
-def test_bloch_kernel_matches_projector_route_on_random_states():
-    rng = np.random.default_rng(2012)
-    for _ in range(50):
+def _family_states():
+    """The evolved family states the kernel tests use: edge and interior
+    angles, every axis, either noisy qubit, three times."""
+    return [
+        kraus_apply(initial_state(theta), ChannelSpec(axis=axis, qubit=qubit), t)
+        for theta in (1e-4, 0.3, math.pi / 4, math.pi / 2, math.pi - 1e-3)
+        for axis in "xyz"
+        for qubit in "AB"
+        for t in (0.0, 0.35, 2.5)
+    ]
+
+
+def _random_states(n, seed):
+    """n seeded full-rank states G G† / tr(G G†)."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(n):
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = g @ g.conj().T
-        rho /= np.trace(rho).real
+        states.append(rho / np.trace(rho).real)
+    return states
+
+
+def test_bloch_kernel_matches_projector_route_on_random_states():
+    for rho in _random_states(50, 2012):
         assert np.linalg.eigvalsh(rho).min() > 1e-6
         _assert_kernel_matches_reference(rho)
 
 
 def test_bloch_kernel_matches_projector_route_on_evolved_family():
-    for theta in (1e-4, 0.3, math.pi / 4, math.pi / 2, math.pi - 1e-3):
-        rho0 = initial_state(theta)
-        for axis in "xyz":
-            for qubit in "AB":
-                ch = ChannelSpec(axis=axis, qubit=qubit)
-                for t in (0.0, 0.35, 2.5):
-                    _assert_kernel_matches_reference(kraus_apply(rho0, ch, t))
+    for rho in _family_states():
+        _assert_kernel_matches_reference(rho)
 
 
 def test_bloch_kernel_drops_impossible_outcome():
@@ -426,8 +464,164 @@ def test_bloch_kernel_drops_impossible_outcome():
     ket_b = np.array([0.6, 0.8j])
     rho = np.kron(np.diag([1.0, 0.0]), np.outer(ket_b, ket_b.conj()))
     _assert_kernel_matches_reference(rho)
-    a, b, T = _side_bloch(rho, "A")
-    assert _conditional_entropy_batch(a, b, T, np.array([[0.0, 0.0, 1.0]]))[0] == 0.0
+    assert _stacked_conditional_entropy(rho, np.array([[0.0, 0.0, 1.0]]), "A")[0] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the stacked oracles against the one-state scalar kernels they replaced
+# ---------------------------------------------------------------------------
+
+def _side_bloch(rho, measured_side):
+    """(a, b, T): the measured and unmeasured Bloch vectors and the
+    correlation matrix indexed [measured, unmeasured]."""
+    r = pauli_coefficients(rho)
+    if measured_side == "A":
+        return r[1:, 0], r[0, 1:], r[1:, 1:]
+    return r[0, 1:], r[1:, 0], r[1:, 1:].T
+
+
+def _conditional_entropy_scalar(a, b, T, n):
+    """The conditional entropy for one direction in scalar arithmetic; a, b
+    and n are three floats each and T is a list of three rows."""
+    n0, n1, n2 = n
+    an = a[0] * n0 + a[1] * n1 + a[2] * n2
+    t0 = T[0][0] * n0 + T[1][0] * n1 + T[2][0] * n2
+    t1 = T[0][1] * n0 + T[1][1] * n1 + T[2][1] * n2
+    t2 = T[0][2] * n0 + T[1][2] * n1 + T[2][2] * n2
+    total = 0.0
+    for sign in (1.0, -1.0):
+        p = 0.5 * (1.0 + sign * an)
+        if p > 1e-14:
+            radius = math.hypot(b[0] + sign * t0, b[1] + sign * t1, b[2] + sign * t2) / (2.0 * p)
+            entropy = 0.0
+            for w in (0.5 * (1.0 - radius), 0.5 * (1.0 + radius)):
+                if w > ZERO_EIGENVALUE_TOL:
+                    entropy -= w * math.log2(w)
+            total += p * entropy
+    return total
+
+
+def _golden_section_scalar(f, lo, hi, angle_tol=1e-6):
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - g * (b - a)
+    d = a + g * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > angle_tol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = f(d)
+    return (c, fc) if fc <= fd else (d, fd)
+
+
+def _optimal_conditional_entropy_scalar(rho, side, settings=OptimizerSettings()):
+    """The one-state optimizer: the grid through the scalar kernel, then
+    coordinate descent by scalar golden-section line searches.  Returns the
+    value and the number of passes."""
+    a, b, T = (v.tolist() for v in _side_bloch(rho, side))
+    dirs = _fibonacci_sphere(settings.grid_points)
+    values = [_conditional_entropy_scalar(a, b, T, n) for n in map(tuple, dirs.tolist())]
+    best = min(values)
+    x, y, z = min(tuple(n) for n, v in zip(dirs.tolist(), values) if v == best)
+    theta_s, phi_s = math.acos(max(-1.0, min(1.0, z))), math.atan2(y, x)
+
+    def objective(th, ph):
+        st = math.sin(th)
+        return _conditional_entropy_scalar(a, b, T, (st * math.cos(ph), st * math.sin(ph), math.cos(th)))
+
+    window = 2.0 * 3.6 / math.sqrt(settings.grid_points)
+    for passes in range(1, settings.max_passes + 1):
+        previous = best
+        theta_s, best = _golden_section_scalar(
+            lambda th: objective(th, phi_s), theta_s - window, theta_s + window
+        )
+        phi_s, best = _golden_section_scalar(
+            lambda ph: objective(theta_s, ph), phi_s - window, phi_s + window
+        )
+        window = max(window * 0.25, 1e-5)
+        if previous - best < settings.final_tolerance:
+            break
+    return best, passes
+
+
+def _wootters_score_sqrt_route(rho):
+    """chi1 - chi2 - chi3 - chi4 from the eigenvalues of sqrt(rho) rho~ sqrt(rho)."""
+    w, V = hermitian_eigen(rho)
+    sqrt_rho = (V * np.sqrt(np.clip(w, 0.0, None))) @ dag(V)
+    flip = np.kron(PAULI_Y, PAULI_Y)
+    ev = clamp_spectrum(np.linalg.eigvalsh(sqrt_rho @ flip @ rho.conj() @ flip @ sqrt_rho))
+    chi = np.sort(np.sqrt(np.clip(ev, 0.0, None)))[::-1]
+    return float(chi[0] - chi[1] - chi[2] - chi[3])
+
+
+def test_stacked_optimizer_matches_the_scalar_reference():
+    states = _random_states(50, 1998) + _family_states()
+    stack = np.array(states)
+    for side in "AB":
+        values, diagnostics = _optimize(pauli_coefficients(stack), side, OptimizerSettings())
+        for i, rho in enumerate(states):
+            want, passes = _optimal_conditional_entropy_scalar(rho, side)
+            assert abs(values[i] - want) <= 1e-12, (side, i)
+            assert diagnostics[i].refinement_iterations == passes
+
+
+def test_stacked_entropic_oracles_match_the_scalar_route():
+    # the six von_neumann_entropy calls per state the stacked kernels replaced
+    states = _random_states(50, 1998) + _family_states()
+    values = oracle_values(np.array(states), MEASURE_NAMES)
+    for i, rho in enumerate(states):
+        s_a = von_neumann_entropy(partial_trace(rho, "A"))
+        s_b = von_neumann_entropy(partial_trace(rho, "B"))
+        s_ab = von_neumann_entropy(rho)
+        sc, _ = _optimal_conditional_entropy_scalar(rho, "A")
+        assert abs(values["mutual_information"][i] - max(0.0, s_a + s_b - s_ab)) <= 1e-12
+        assert abs(values["quantum_discord"][i] - max(0.0, s_a - s_ab + sc)) <= 1e-12
+        assert abs(values["classical_correlation"][i] - max(0.0, s_b - sc)) <= 1e-12
+
+
+def test_tau_route_matches_the_sqrt_route_on_full_rank_states():
+    states = _random_states(50, 1998)
+    scores = _wootters_scores(np.array(states))
+    for score, rho in zip(scores, states):
+        assert abs(score - _wootters_score_sqrt_route(rho)) <= 1e-12
+
+
+def test_each_state_gets_the_same_bits_alone_or_in_a_stack():
+    family, random = _family_states(), _random_states(20, 7)
+    states = [s for pair in zip(family, random) for s in pair] + family[len(random):]
+    stacked = oracle_values(np.array(states), MEASURE_NAMES)
+    for i, rho in enumerate(states):
+        alone = oracle_values(rho, MEASURE_NAMES)
+        for name in MEASURE_NAMES:
+            assert stacked[name][i] == alone[name], (name, i)
+    for side in "AB":
+        values, diagnostics = _optimize(pauli_coefficients(np.array(states)), side, OptimizerSettings())
+        for i, rho in enumerate(states):
+            alone = optimal_conditional_entropy(rho, side)
+            assert (alone.value, alone.optimizer) == (max(0.0, values[i]), diagnostics[i])
+
+
+def test_a_long_stack_is_taken_in_chunks_with_the_same_bits(monkeypatch):
+    states = np.array(_family_states()[:10] + _random_states(10, 11))
+    whole = oracle_values(states, MEASURE_NAMES)
+    monkeypatch.setattr(measures, "_STACK_CHUNK", 7)
+    chunked = oracle_values(states, MEASURE_NAMES)
+    for name in MEASURE_NAMES:
+        np.testing.assert_array_equal(chunked[name], whole[name])
+
+
+def test_oracle_values_on_a_stack_returns_arrays():
+    states = np.array(_family_states()[:4])
+    values = oracle_values(states, ("concurrence", "quantum_discord"))
+    assert list(values) == ["concurrence", "quantum_discord"]
+    assert values["concurrence"].shape == (4,)
+    with pytest.raises(InvalidStateError, match="expected a 4x4"):
+        concurrence(states)
 
 
 def test_fibonacci_grid_is_cached_and_read_only():
@@ -657,6 +851,7 @@ def test_small_discord_keeps_its_relative_accuracy():
 
 _VALIDATED_ORACLES = {
     "oracle_values": lambda rho: oracle_values(rho, MEASURE_NAMES),
+    "oracle_values_stack": lambda rho: oracle_values(np.stack([rho, rho, rho]), MEASURE_NAMES),
     "quantum_discord": quantum_discord,
     "classical_correlation": classical_correlation,
     "concurrence": concurrence,
@@ -698,3 +893,17 @@ def test_every_oracle_rejects_non_states(oracle, case):
     rho, message = _NOT_STATES[case]
     with pytest.raises(InvalidStateError, match=message):
         oracle(rho)
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_STATES))
+def test_a_stack_with_one_bad_member_is_rejected_with_its_message(case):
+    bad, message = _NOT_STATES[case]
+    good = kraus_apply(initial_state(0.7), ChannelSpec(axis="x"), 0.3)
+    stack = np.stack([good, good, bad, good])
+    with pytest.raises(InvalidStateError, match=message) as stacked:
+        validate_density_matrix(stack)
+    with pytest.raises(InvalidStateError) as alone:
+        validate_density_matrix(bad)
+    assert str(stacked.value) == str(alone.value)
+    with pytest.raises(InvalidStateError, match=message):
+        oracle_values(stack, MEASURE_NAMES)

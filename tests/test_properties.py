@@ -1,9 +1,10 @@
 """Property tests over the whole parameter range: theta in [0, pi], gamma t in
 [0, 50], every noise axis and either noisy qubit.
 
-The concurrence oracle is not compared with its closed form here: at small
-angles the spin-flip square roots lose the value to rounding (a known
-defect), and drawing theta only where it holds would hide it.
+The concurrence oracle is compared with its closed form over all of it,
+small angles included: the oracle takes the spin-flip values as singular
+values of Wootters' tau matrix, so no square root of a product of small
+eigenvalues loses them to rounding.
 """
 import math
 
@@ -12,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qcorr.channels import ChannelSpec, kraus_apply
-from qcorr.measures import closed_values
+from qcorr.measures import closed_values, concurrence
 from qcorr.states import initial_state, make_params
 
 TOL = 1e-12
@@ -54,6 +55,13 @@ def test_closed_measures_stay_within_their_bounds(theta, channel, t):
     assert 0.0 <= v["quantum_discord"] <= 1.0 + TOL
     assert 0.0 <= v["classical_correlation"] <= v["mutual_information"] + TOL
     assert v["mutual_information"] <= 2.0 + TOL
+
+
+@given(theta=thetas, channel=channels, t=times)
+def test_concurrence_oracle_matches_its_closed_form(theta, channel, t):
+    params = make_params(theta)
+    oracle = concurrence(kraus_apply(initial_state(params), channel, t)).value
+    assert abs(oracle - float(closed_values(params, channel, t, ("concurrence",))["concurrence"])) <= TOL
 
 
 @given(theta=thetas, qubit=st.sampled_from("AB"), t=times)
