@@ -9,11 +9,9 @@ share its derivation.
 """
 from .channels import (
     ChannelSpec,
-    EvolutionPoint,
     analytic_evolve,
     apply_pauli_channel,
     decay_factor,
-    evolution_point,
     integrate_rk4,
     jump_operator,
     kraus_apply,
@@ -38,7 +36,6 @@ from .linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    binary_entropy,
     dag,
     hermitian_eigen,
     partial_trace,
@@ -104,12 +101,9 @@ __all__ = [
     "partial_trace",
     "hermitian_eigen",
     "von_neumann_entropy",
-    "binary_entropy",
     # channels
     "ChannelSpec",
-    "EvolutionPoint",
     "decay_factor",
-    "evolution_point",
     "jump_operator",
     "lindblad_rhs",
     "apply_pauli_channel",

@@ -18,8 +18,6 @@ from .states import StateParams, validate_density_matrix
 
 __all__ = [
     "ChannelSpec",
-    "EvolutionPoint",
-    "evolution_point",
     "decay_factor",
     "jump_operator",
     "lindblad_rhs",
@@ -52,15 +50,6 @@ class ChannelSpec:
             raise ValueError(f"qubit must be 'A' or 'B', got {self.qubit!r}")
 
 
-@dataclass(frozen=True)
-class EvolutionPoint:
-    """Decay scalars at one time: mu = exp(-2 gamma t), lam = mu (1 - 4 eta)."""
-
-    t: float
-    mu: float
-    lam: float
-
-
 def decay_factor(channel: ChannelSpec, t: float) -> float:
     """exp(-2 gamma t), the single scalar all closed forms depend on.
 
@@ -68,11 +57,6 @@ def decay_factor(channel: ChannelSpec, t: float) -> float:
     if not t >= 0.0:
         raise ValueError(f"t must be non-negative, got {t}")
     return math.exp(-2.0 * channel.gamma * t)
-
-
-def evolution_point(channel: ChannelSpec, t: float, params: StateParams) -> EvolutionPoint:
-    mu = decay_factor(channel, t)
-    return EvolutionPoint(t=float(t), mu=mu, lam=mu * (1.0 - 4.0 * params.eta))
 
 
 _JUMP_OPERATORS = {
@@ -130,9 +114,9 @@ def analytic_evolve(params: StateParams, channel: ChannelSpec, t: float) -> np.n
     The family is invariant under swapping the two qubits, so the A/B qubit
     choice does not change the result here.
     """
-    point = evolution_point(channel, t, params)
     eta, xi = params.eta, params.xi
-    mu, lam = point.mu, point.lam
+    mu = decay_factor(channel, t)
+    lam = mu * (1.0 - 4.0 * eta)
     rho = np.zeros((4, 4), dtype=complex)
     if channel.axis == "x":
         d_out, d_in = (1.0 - lam) / 4.0, (1.0 + lam) / 4.0
@@ -159,8 +143,7 @@ def uncorrected_y_matrix(params: StateParams, channel: ChannelSpec, t: float) ->
     the discrepancy report: its (3,2) entry is -(1-lam)/4 instead of the
     Hermitian partner -(1+lam)/4, so it fails Hermiticity by |lam|/2 for t > 0
     and does not reduce to the initial state at t = 0."""
-    point = evolution_point(channel, t, params)
-    lam = point.lam
+    lam = decay_factor(channel, t) * (1.0 - 4.0 * params.eta)
     rho = analytic_evolve(params, ChannelSpec("y", channel.gamma, channel.qubit), t)
     rho = rho.copy()
     rho[2, 1] = -(1.0 - lam) / 4.0

@@ -5,8 +5,9 @@ The sweep pairs every closed-form value with an optional independently
 computed oracle value so disagreement is visible in the output rather than
 buried.  Death times are certified: a root of the signed concurrence score is
 reported as a genuine finite death only when the score is decisively negative
-past the root, which separates true sudden death from asymptotic decay that
-merely dips into numerical dust.
+past the root, measured against the depth the state's own score sinks to,
+which separates true sudden death from asymptotic decay that merely dips
+into numerical dust.
 """
 from __future__ import annotations
 
@@ -65,6 +66,9 @@ __all__ = [
 _GAMMA_T_CAP = 50.0
 _SCORE_THRESHOLD = 1e-12
 _CERTIFY_MARGIN = -1e-6
+# the scaled certification margin is never closer to zero than this, far
+# above the rounding of the spin-flip score, so numerical zero never certifies
+_MARGIN_FLOOR = -1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +245,15 @@ def death_time(
     """Find when a measure dies (concurrence) or halves (discords).
 
     Concurrence uses the signed spin-flip score of the independently evolved
-    state, bracketing by doubling from t = 1/gamma and bisecting; the root is
-    certified as a finite death only if the score is below -1e-6 one decay
-    time past it.  The discords never reach zero at finite time under these
-    channels, so for them the result is the closed-form half-life instead.
+    state, bracketing by doubling from t = 1/gamma and bisecting.  Both
+    thresholds scale with s = 1 - score(0), which is 2 (chi2 + chi3 + chi4)
+    at t = 0 and 4 eta on the family, the depth the score sinks to past a
+    death: the search looks for the score falling to 1e-12 s, and the root is
+    certified as a finite death only if the score one decay time past it is
+    at or below min(-1e-6 s, -1e-13).  The fixed floor keeps a score that is
+    zero to rounding (theta = 0 or pi) from certifying.  The discords never
+    reach zero at finite time under these channels, so for them the result
+    is the closed-form half-life instead.
     """
     if measure == "concurrence":
         return _concurrence_death(params, channel)
@@ -278,27 +287,31 @@ def _concurrence_death(params: StateParams, channel: ChannelSpec) -> DeathTimeRe
     def score(t: float) -> float:
         return wootters_score(kraus_apply(rho0, channel, t))
 
-    if score(0.0) <= _SCORE_THRESHOLD:
-        if score(1.0 / channel.gamma) <= _CERTIFY_MARGIN:
+    initial = score(0.0)
+    scale = 1.0 - initial
+    threshold = _SCORE_THRESHOLD * scale
+    margin = min(_CERTIFY_MARGIN * scale, _MARGIN_FLOOR)
+    if initial <= threshold:
+        if score(1.0 / channel.gamma) <= margin:
             return result("esd", 0.0, (0.0, 0.0), 0,
                           diagnostic="concurrence is zero already at t = 0")
         return result("none", None, None, 0,
                       diagnostic="concurrence starts at zero and never turns decisively negative")
 
-    crossing = _crossing(lambda t: score(t) - _SCORE_THRESHOLD, channel.gamma)
+    crossing = _crossing(lambda t: score(t) - threshold, channel.gamma)
     if crossing is None:
         return result("none", None, None, 0,
                       diagnostic=f"no sign change up to gamma t = {_GAMMA_T_CAP:g}")
     root, bracket, iterations = crossing
     post = score(root + 1.0 / channel.gamma)
-    if post <= _CERTIFY_MARGIN:
+    if post <= margin:
         return result("esd", root, bracket, iterations,
                       diagnostic=f"score {post:.3e} one decay time past the root")
     return result(
         "asymptotic", None, bracket, iterations,
         diagnostic=(
             f"crossing near t = {root:.6g} not certified (score {post:.3e} stays above"
-            f" {_CERTIFY_MARGIN:g})"
+            f" {margin:.3g})"
         ),
     )
 

@@ -1,5 +1,10 @@
 """Dense complex matrix kernel: Pauli constants, tensor products, partial
-traces, Hermitian eigendecomposition, and entropies (base 2)."""
+traces, Hermitian eigendecomposition, and entropies (base 2).
+
+spectrum_entropy is the one entropy kernel: the stacked oracles in measures
+feed it the eigenvalues of whole stacks of states and marginals, and the
+two-outcome spectra of the discord optimizer; von_neumann_entropy is its
+checked face for one matrix."""
 from __future__ import annotations
 
 import numpy as np
@@ -15,11 +20,9 @@ __all__ = [
     "tensor",
     "partial_trace",
     "pauli_coefficients",
-    "is_hermitian",
     "hermitian_eigen",
-    "clamp_spectrum",
+    "spectrum_entropy",
     "von_neumann_entropy",
-    "binary_entropy",
 ]
 
 PAULI_I = np.eye(2, dtype=complex)
@@ -93,10 +96,6 @@ def pauli_coefficients(rho: np.ndarray) -> np.ndarray:
     return terms.real.sum(axis=-1).reshape(rho.shape[:-2] + (4, 4))
 
 
-def is_hermitian(m: np.ndarray, tol: float = 1e-10) -> bool:
-    return bool(np.abs(m - dag(m)).max() <= tol)
-
-
 def hermitian_eigen(m: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
@@ -106,42 +105,29 @@ def hermitian_eigen(m: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.n
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"hermitian_eigen expects a square matrix, got shape {m.shape}")
-    if not is_hermitian(m, tol):
+    if not np.abs(m - dag(m)).max() <= tol:
         raise ValueError(f"matrix is not Hermitian within {tol}")
     w, V = np.linalg.eigh(m)
     return w[::-1], V[:, ::-1]
 
 
-def clamp_spectrum(w: np.ndarray, tol: float = ZERO_EIGENVALUE_TOL) -> np.ndarray:
-    """Zero out eigenvalues within tol of zero."""
-    w = np.asarray(w, dtype=float).copy()
-    w[np.abs(w) <= tol] = 0.0
-    return w
+def spectrum_entropy(w: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Entropy -sum(w log2 w) in bits of each spectrum laid out along axis.
+
+    Entries at or below 1e-12 count as exact zeros.  The terms are added in
+    the order given, so callers pass eigenvalues largest first."""
+    keep = w > ZERO_EIGENVALUE_TOL
+    return np.where(keep, -w * np.log2(np.where(keep, w, 1.0)), 0.0).sum(axis=axis)
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Entropy -sum(w log2 w) of a density matrix, in bits.
+    """Entropy of one density matrix, in bits.
 
-    Eigenvalues within 1e-12 of zero are clamped to zero first; an eigenvalue
-    below -1e-10 means the input is not a state and raises.
+    The matrix must be Hermitian within 1e-10, and an eigenvalue below
+    -1e-10 means the input is not a state and raises; eigenvalues within
+    1e-12 of zero count as exact zeros.
     """
     w, _ = hermitian_eigen(rho)
     if w.min() < -1e-10:
         raise ValueError(f"negative eigenvalue {w.min():.3e} — not a density matrix")
-    w = clamp_spectrum(w)
-    w = w[w > 0.0]
-    return float(-np.sum(w * np.log2(w)))
-
-
-def binary_entropy(p: float) -> float:
-    """Entropy of a (p, 1-p) distribution, in bits.
-
-    Arguments within 1e-12 outside [0, 1] are treated as the nearest
-    endpoint; anything further out is rejected.
-    """
-    if not -1e-12 <= p <= 1.0 + 1e-12:
-        raise ValueError(f"binary_entropy requires p in [0, 1], got {p}")
-    p = min(1.0, max(0.0, p))
-    if p in (0.0, 1.0):
-        return 0.0
-    return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
+    return float(spectrum_entropy(w))

@@ -44,7 +44,10 @@ relative accuracy.  One array-valued core (closed_values) evaluates all of
 them over whole (theta, t) grids; the per-measure *_closed functions are
 scalar wrappers around it.
 
-All entropies are base 2 (bits).
+All entropies are base 2 (bits).  The oracles take every von Neumann and
+post-measurement entropy from linalg.spectrum_entropy, the one entropy
+kernel; the closed forms need none, since their entropies are the log1p sums
+above.
 """
 from __future__ import annotations
 
@@ -55,8 +58,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channels import ChannelSpec, decay_factor, evolution_point
-from .linalg import PAULI_Y, ZERO_EIGENVALUE_TOL, partial_trace, pauli_coefficients
+from .channels import ChannelSpec, decay_factor
+from .linalg import PAULI_Y, partial_trace, pauli_coefficients, spectrum_entropy
 from .states import InvalidStateError, StateParams, validate_density_matrix
 
 __all__ = [
@@ -73,14 +76,12 @@ __all__ = [
     "mutual_information",
     "mutual_information_closed",
     "optimal_conditional_entropy",
-    "optimal_entropy_bound",
     "classical_correlation",
     "classical_correlation_closed",
     "quantum_discord",
     "quantum_discord_closed",
     "quantum_discord_xz_expanded",
     "quantum_discord_y_expanded",
-    "closed_spectrum",
     "MEASURE_NAMES",
     "closed_values",
     "oracle_values",
@@ -100,6 +101,8 @@ class MeasureResult:
 
 
 MAX_GRID_POINTS = 2**20
+# coordinate-descent passes after which the sphere search stops regardless
+_MAX_PASSES = 60
 
 
 @dataclass(frozen=True)
@@ -108,7 +111,6 @@ class OptimizerSettings:
 
     grid_points: int = 1024
     final_tolerance: float = 1e-7
-    max_passes: int = 60
 
     def __post_init__(self) -> None:
         if not 32 <= self.grid_points <= MAX_GRID_POINTS:
@@ -117,8 +119,6 @@ class OptimizerSettings:
             )
         if not self.final_tolerance >= 0.0:
             raise ValueError(f"final_tolerance must be >= 0, got {self.final_tolerance}")
-        if self.max_passes < 1:
-            raise ValueError(f"max_passes must be >= 1, got {self.max_passes}")
 
 
 @dataclass(frozen=True)
@@ -187,9 +187,10 @@ def uncorrected_x_concurrence(params: StateParams, channel: ChannelSpec, t: floa
     verify suite reports its deviation from the spin-flip oracle."""
     if channel.axis != "x":
         raise ValueError("the uncorrected variant is specific to the x axis")
-    point = evolution_point(channel, t, params)
+    mu = decay_factor(channel, t)
+    lam = mu * (1.0 - 4.0 * params.eta)
     xi = params.xi
-    return 0.5 * (point.mu + point.lam + 4.0 * (8.0 * xi * xi - 3.0 * xi + 1.0))
+    return 0.5 * (mu + lam + 4.0 * (8.0 * xi * xi - 3.0 * xi + 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -224,17 +225,6 @@ def mutual_information(rho: np.ndarray) -> MeasureResult:
     return _single_oracle("mutual_information", rho)
 
 
-def _entropies(rho: np.ndarray) -> np.ndarray:
-    """Von Neumann entropies (bits) of a validated stack of density matrices
-    (or of their partial traces), one per member.
-
-    Eigenvalues at or below 1e-12 count as exact zeros; the terms are added
-    from the largest eigenvalue down."""
-    w = np.linalg.eigvalsh(rho)[:, ::-1]
-    keep = w > ZERO_EIGENVALUE_TOL
-    return np.where(keep, -w * np.log2(np.where(keep, w, 1.0)), 0.0).sum(axis=1)
-
-
 def quantum_discord_xz_expanded(params: StateParams, channel: ChannelSpec, t: float) -> float:
     """Literal hyperbolic-scalar form of the x/z discord, retained to verify
     it is algebraically identical to the entropy pipeline.
@@ -243,8 +233,9 @@ def quantum_discord_xz_expanded(params: StateParams, channel: ChannelSpec, t: fl
     vt = sqrt(mu) sinh(gamma t) = (1-mu)/2:
 
         D = -1 + sum_{u in {nu, vt}} u/ln16 [ln((8u)^4 xi^3 eta)
-            + (8 xi - 3) ln(xi/eta)] + SC.
+            + (8 xi - 3) ln(xi/eta)] + SC,
 
+    where SC = 1 - classical correlation is the optimal conditional entropy.
     Requires eta > 0 (the logarithm ratio degenerates at theta = 0); the
     vt = 0 term at t = 0 contributes zero by the x log x convention.
     """
@@ -264,8 +255,8 @@ def quantum_discord_xz_expanded(params: StateParams, channel: ChannelSpec, t: fl
             return 0.0
         return u / ln16 * (math.log((8.0 * u) ** 4 * xi**3 * eta) + (8.0 * xi - 3.0) * log_ratio)
 
-    _, sc = optimal_entropy_bound(params, channel, t)
-    return -1.0 + term(nu) + term(vt) + sc
+    cc = closed_values(params, channel, t, ("classical_correlation",))["classical_correlation"]
+    return -1.0 + term(nu) + term(vt) + (1.0 - float(cc))
 
 
 def quantum_discord_y_expanded(params: StateParams, channel: ChannelSpec, t: float) -> float:
@@ -277,7 +268,7 @@ def quantum_discord_y_expanded(params: StateParams, channel: ChannelSpec, t: flo
     1 - h((1+lam)/2) identically for lam in [0, 1))."""
     if channel.axis != "y":
         raise ValueError("the log-ratio form covers the y axis only")
-    lam = evolution_point(channel, t, params).lam
+    lam = decay_factor(channel, t) * (1.0 - 4.0 * params.eta)
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"the log-ratio form requires lam in [0, 1), got {lam}")
     ln16 = math.log(16.0)
@@ -433,24 +424,6 @@ def quantum_discord_closed(
     return _closed_result("quantum_discord", params, channel, t)
 
 
-def closed_spectrum(
-    params: StateParams, channel: ChannelSpec | None = None, t: float = 0.0
-) -> np.ndarray:
-    """Eigenvalues of the evolved family member (the Bell weights), largest first."""
-    w = 0.25 * (1.0 + _bell_projections(_correlation_triple(params, channel, t)))
-    return np.sort(w, axis=-1)[..., ::-1]
-
-
-def optimal_entropy_bound(
-    params: StateParams, channel: ChannelSpec | None = None, t: float = 0.0
-) -> tuple[float, float]:
-    """Closed-form (phi, SC) for the family: the dominant correlation
-    magnitude phi = max |c_i| and the optimal conditional entropy
-    h((1+phi)/2)."""
-    c = _correlation_triple(params, channel, t)
-    return float(np.abs(c).max(axis=-1)), float(1.0 - _classical_correlation_triple(c))
-
-
 # ---------------------------------------------------------------------------
 # measurement-sphere optimizer
 # ---------------------------------------------------------------------------
@@ -491,8 +464,7 @@ def _conditional_entropy(u: np.ndarray, b1: np.ndarray) -> np.ndarray:
     live = p > 1e-14
     radius = np.sqrt((x[..., 1:] * x[..., 1:]).sum(axis=-1)) / (2.0 * np.where(live, p, 1.0))
     w = 0.5 * (1.0 + _OUTCOME_SIGNS.reshape((2,) + (1,) * radius.ndim) * radius)
-    keep = w > ZERO_EIGENVALUE_TOL
-    entropy = np.where(keep, -w * np.log2(np.where(keep, w, 1.0)), 0.0).sum(axis=0)
+    entropy = spectrum_entropy(w, axis=0)
     return np.where(live, p * entropy, 0.0).sum(axis=0)
 
 
@@ -576,7 +548,7 @@ def _optimize(
     final_window = np.empty(n)
     running = np.ones(n, dtype=bool)
     window = 2.0 * 3.6 / math.sqrt(settings.grid_points)
-    for _ in range(settings.max_passes):
+    for _ in range(_MAX_PASSES):
         rows = np.flatnonzero(running)
         m0, m1, m2 = (m[rows, i] for i in range(3))
         b1_rows = b1[rows]
@@ -638,7 +610,7 @@ def optimal_conditional_entropy(
     deterministic Fibonacci-sphere grid (settings.grid_points directions)
     seeds a coordinate descent in the spherical angles of n, each coordinate
     refined by golden-section line search, until one full pass improves the
-    entropy by less than settings.final_tolerance.  An outcome with
+    entropy by less than settings.final_tolerance or 60 passes have run.  An outcome with
     probability below 1e-14 contributes zero.  Ties on the grid resolve to
     the lexicographically smallest direction, keeping the result unique.
     """
@@ -689,11 +661,12 @@ class _Stack:
 
     @functools.cached_property
     def entropy(self) -> dict[str, np.ndarray]:
-        """S(AB), S(A) and S(B)."""
-        out = {"AB": _entropies(self.rho)}
+        """S(AB), S(A) and S(B), each from one batched eigvalsh, largest
+        eigenvalue first."""
+        spectra = {"AB": np.linalg.eigvalsh(self.rho)}
         for side in _SIDE_NAMES:
-            out[side] = _entropies(partial_trace(self.rho, side))
-        return out
+            spectra[side] = np.linalg.eigvalsh(partial_trace(self.rho, side))
+        return {key: spectrum_entropy(w[:, ::-1]) for key, w in spectra.items()}
 
     @functools.cached_property
     def optimum(self) -> tuple[np.ndarray, list[OptimizerDiagnostics]]:

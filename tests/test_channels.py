@@ -10,7 +10,6 @@ from qcorr.channels import (
     analytic_evolve,
     apply_pauli_channel,
     decay_factor,
-    evolution_point,
     integrate_rk4,
     jump_operator,
     kraus_apply,
@@ -52,13 +51,6 @@ def test_decay_factor():
     with pytest.raises(ValueError):
         decay_factor(ch, math.nan)
     assert decay_factor(ch, math.inf) == 0.0
-
-
-def test_evolution_point_scales_by_q():
-    p = make_params(math.pi / 4)  # q = 1/2
-    point = evolution_point(ChannelSpec(axis="y"), 0.5, p)
-    assert math.isclose(point.mu, math.exp(-1.0), rel_tol=1e-15)
-    assert math.isclose(point.lam, 0.18393972058572117, abs_tol=1e-15)
 
 
 def test_jump_operator_placement():
@@ -261,7 +253,7 @@ def test_uncorrected_y_matrix_is_not_hermitian():
     p = make_params(math.pi / 4)
     ch = ChannelSpec(axis="y")
     bad = uncorrected_y_matrix(p, ch, 0.5)
-    lam = evolution_point(ch, 0.5, p).lam
+    lam = decay_factor(ch, 0.5) * (1.0 - 4.0 * p.eta)
     defect = np.abs(bad - bad.conj().T).max()
     assert defect == pytest.approx(lam / 2.0, abs=1e-15)
     good = analytic_evolve(p, ch, 0.5)

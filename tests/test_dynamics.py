@@ -187,6 +187,8 @@ def test_death_time_asymptotic_under_y_noise():
     res = death_time(make_params(math.pi / 4), ChannelSpec(axis="y"))
     assert res.kind == "asymptotic"
     assert res.time is None and res.closed_form_time is None
+    # an uncertified crossing keeps its bracket
+    assert res.bracket is not None and res.bracket[0] < res.bracket[1]
 
 
 def test_death_time_asymptotic_for_pure_plateau_state():
@@ -196,12 +198,45 @@ def test_death_time_asymptotic_for_pure_plateau_state():
     assert res.time is None
 
 
-def test_death_time_uncertified_at_tiny_eta():
-    # the score crosses the threshold but never turns decisively negative
-    res = death_time(make_params(0.001), ChannelSpec(axis="z"))
-    assert res.kind == "asymptotic"
-    assert res.time is None
-    assert res.bracket is not None
+def test_death_time_certified_at_tiny_eta():
+    # past the death the score sinks only to about -2 eta = -5e-7 here; the
+    # certification margin scales with 1 - score(0) = 4 eta, so it certifies
+    p = make_params(0.001)
+    ch = ChannelSpec(axis="z")
+    res = death_time(p, ch)
+    assert res.kind == "esd"
+    assert res.time == pytest.approx(closed_death_time(p, ch), abs=1e-6)
+    assert res.bracket[0] <= res.time <= res.bracket[1]
+
+
+EDGE_TO_EDGE_THETAS = np.concatenate([
+    np.logspace(-4.0, math.log10(math.pi / 2), 13),
+    math.pi - np.logspace(-4.0, math.log10(math.pi / 2), 13)[:-1],
+]).tolist()
+
+
+def test_death_time_matches_closed_form_from_edge_to_edge():
+    # log-spaced toward both edges, where the score past the death is ~-2 eta
+    for theta in EDGE_TO_EDGE_THETAS:
+        p = make_params(theta)
+        for axis in "xz":
+            for qubit in "AB":
+                ch = ChannelSpec(axis=axis, qubit=qubit)
+                res = death_time(p, ch)
+                closed = closed_death_time(p, ch)
+                assert res.kind == "esd", (theta, axis, qubit, res.diagnostic)
+                assert abs(res.time - closed) <= 1e-6 * closed, (theta, axis, qubit)
+
+
+def test_death_time_never_certifies_without_a_finite_death():
+    # y noise only lets the concurrence decay, and at theta = 0 or pi the
+    # score past any crossing is zero to rounding
+    cases = [(theta, "y") for theta in EDGE_TO_EDGE_THETAS]
+    cases += [(theta, axis) for theta in (0.0, math.pi) for axis in "xyz"]
+    for theta, axis in cases:
+        for qubit in "AB":
+            res = death_time(make_params(theta), ChannelSpec(axis=axis, qubit=qubit))
+            assert res.kind != "esd" and res.time is None, (theta, axis, qubit)
 
 
 def test_death_time_gamma_scaling():

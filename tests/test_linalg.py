@@ -10,11 +10,10 @@ from qcorr.linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    binary_entropy,
-    clamp_spectrum,
     dag,
     hermitian_eigen,
     partial_trace,
+    spectrum_entropy,
     tensor,
     von_neumann_entropy,
 )
@@ -98,13 +97,6 @@ def test_hermitian_eigen_rejects_non_hermitian():
         hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_clamp_spectrum_zeroes_dust():
-    w = np.array([0.5, 1e-13, -1e-13, -1e-15])
-    np.testing.assert_array_equal(clamp_spectrum(w), [0.5, 0.0, 0.0, 0.0])
-    # values above the cutoff survive
-    assert clamp_spectrum(np.array([1e-11]))[0] == 1e-11
-
-
 def test_entropy_known_values():
     assert math.isclose(von_neumann_entropy(np.eye(4) / 4.0), 2.0, abs_tol=1e-13)
     pure = np.zeros((4, 4), dtype=complex)
@@ -136,19 +128,19 @@ def test_entropy_is_additive_on_product_states():
         )
 
 
-def test_binary_entropy():
-    assert binary_entropy(0.0) == 0.0
-    assert binary_entropy(1.0) == 0.0
-    # endpoint grace of 1e-12 for values arriving from float arithmetic
-    assert binary_entropy(1.0 + 5e-13) == 0.0
-    assert binary_entropy(-5e-13) == 0.0
-    assert math.isclose(binary_entropy(0.5), 1.0, abs_tol=1e-15)
-    # frozen spot value, h(0.9) in bits
-    assert math.isclose(binary_entropy(0.9), 0.4689955935892812, abs_tol=1e-15)
-    rng = np.random.default_rng(19)
-    for p in rng.uniform(0.0, 1.0, size=25):
-        assert math.isclose(binary_entropy(p), binary_entropy(1.0 - p), abs_tol=1e-13)
-    with pytest.raises(ValueError):
-        binary_entropy(1.2)
-    with pytest.raises(ValueError):
-        binary_entropy(-0.2)
+def test_spectrum_entropy_drops_dust_and_sums_along_its_axis():
+    # entries at or below 1e-12 count as zeros; 1e-11 still contributes
+    w = np.array([[0.5, 0.5, 1e-13, -1e-13], [1.0 - 1e-11, 1e-11, 0.0, 0.0]])
+    h = spectrum_entropy(w)
+    assert h[0] == 1.0
+    big, small = 1.0 - 1e-11, 1e-11
+    assert h[1] == pytest.approx(-big * math.log2(big) - small * math.log2(small), rel=1e-12)
+    np.testing.assert_array_equal(spectrum_entropy(w.T, axis=0), h)
+
+
+def test_spectrum_entropy_of_stacked_spectra_matches_the_checked_route():
+    rng = np.random.default_rng(23)
+    states = np.array([random_density(rng) for _ in range(6)])
+    w = np.linalg.eigh(states)[0][:, ::-1]
+    for got, rho in zip(spectrum_entropy(w), states):
+        assert got == pytest.approx(von_neumann_entropy(rho), abs=1e-14)
