@@ -1,15 +1,21 @@
 """Single-qubit Pauli-Lindblad channels and the three mutually checking
-evolution paths: closed-form matrices, Kraus application, fixed-step RK4.
+evolution paths: the closed evolution rule, Kraus application, fixed-step RK4.
 
 The jump operator is a bare Pauli on one qubit (default B) with H = 0, so the
 master equation collapses to drho/dt = gamma (L rho L - rho) and the exact
 solution is the two-element Kraus mixture with weights (1 +- mu)/2, where
 mu = exp(-2 gamma t).
+
+Every evolved family member is Bell-diagonal, (I + sum_k c_k sigma_k x
+sigma_k)/4, and family_triple holds the one closed evolution rule for c:
+analytic_evolve is its matrix and the closed measures read it; the Kraus and
+RK4 routes share nothing with it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -23,6 +29,7 @@ __all__ = [
     "lindblad_rhs",
     "apply_pauli_channel",
     "kraus_apply",
+    "family_triple",
     "analytic_evolve",
     "uncorrected_y_matrix",
     "integrate_rk4",
@@ -107,35 +114,56 @@ def kraus_apply(rho: np.ndarray, channel: ChannelSpec, t: float) -> np.ndarray:
     return apply_pauli_channel(rho, channel.axis, mu, channel.qubit)
 
 
-def analytic_evolve(params: StateParams, channel: ChannelSpec, t: float) -> np.ndarray:
-    """Closed-form evolved matrix of the initial family member.
+# the components of c that a Pauli channel along each axis scales by mu
+_ORTHOGONAL = {"x": (1, 2), "y": (0, 2), "z": (0, 1)}
 
-    Entrywise identical (to rounding) to kraus_apply(initial_state(params)).
-    The family is invariant under swapping the two qubits, so the A/B qubit
-    choice does not change the result here.
+
+def family_triple(
+    params: StateParams | Sequence[StateParams],
+    channel: ChannelSpec | None = None,
+    t: float | Sequence[float] = 0.0,
+) -> np.ndarray:
+    """c = (c1, c2, c3) with T = diag(c) for every evolved family member.
+
+    The initial state has c = (-q, -1, -q) with q = 1 - 4 eta.  A Pauli
+    channel on either qubit multiplies the two components orthogonal to its
+    axis by mu = exp(-2 gamma t); no channel leaves c as it is.  The result
+    has shape P + T + (3,), where P and T are the shapes of params and t
+    (empty for a single StateParams or a scalar time).
     """
-    eta, xi = params.eta, params.xi
-    mu = decay_factor(channel, t)
-    lam = mu * (1.0 - 4.0 * eta)
-    rho = np.zeros((4, 4), dtype=complex)
-    if channel.axis == "x":
-        d_out, d_in = (1.0 - lam) / 4.0, (1.0 + lam) / 4.0
-        rho[0, 0] = rho[3, 3] = d_out
-        rho[1, 1] = rho[2, 2] = d_in
-        rho[0, 3] = rho[3, 0] = (1.0 + mu - 4.0 * xi) / 4.0
-        rho[1, 2] = rho[2, 1] = (1.0 - mu - 4.0 * xi) / 4.0
-    elif channel.axis == "y":
-        d_out, d_in = (1.0 - lam) / 4.0, (1.0 + lam) / 4.0
-        rho[0, 0] = rho[3, 3] = d_out
-        rho[1, 1] = rho[2, 2] = d_in
-        rho[0, 3] = rho[3, 0] = (1.0 - lam) / 4.0
-        rho[1, 2] = rho[2, 1] = -(1.0 + lam) / 4.0
+    if isinstance(params, StateParams):
+        eta = np.array(params.eta)
     else:
-        rho[0, 0] = rho[3, 3] = eta
-        rho[1, 1] = rho[2, 2] = xi
-        rho[0, 3] = rho[3, 0] = eta * mu
-        rho[1, 2] = rho[2, 1] = -xi * mu
-    return validate_density_matrix(rho)
+        eta = np.array([p.eta for p in params], dtype=float)
+    q = 1.0 - 4.0 * eta
+    times = np.asarray(t, dtype=float)
+    c = np.empty(q.shape + times.shape + (3,))
+    c[...] = -q.reshape(q.shape + (1,) * (times.ndim + 1))
+    c[..., 1] = -1.0
+    if channel is not None:
+        mu = np.array([decay_factor(channel, x) for x in times.ravel().tolist()])
+        mu = mu.reshape(times.shape)
+        for k in _ORTHOGONAL[channel.axis]:
+            c[..., k] *= mu
+    return c
+
+
+def analytic_evolve(
+    params: StateParams | Sequence[StateParams],
+    channel: ChannelSpec,
+    t: float | Sequence[float],
+) -> np.ndarray:
+    """(I + sum_k c_k sigma_k x sigma_k)/4 for c = family_triple(params,
+    channel, t): shape P + T + (4, 4), validated as one stack, and entrywise
+    identical (to rounding) to kraus_apply(initial_state(params)) with the
+    noise on either qubit, since the family is symmetric under the swap."""
+    c1, c2, c3 = np.moveaxis(family_triple(params, channel, t), -1, 0)
+    rho = np.zeros(c1.shape + (4, 4), dtype=complex)
+    rho[..., 0, 0] = rho[..., 3, 3] = (1.0 + c3) / 4.0
+    rho[..., 1, 1] = rho[..., 2, 2] = (1.0 - c3) / 4.0
+    rho[..., 0, 3] = rho[..., 3, 0] = (c1 - c2) / 4.0
+    rho[..., 1, 2] = rho[..., 2, 1] = (c1 + c2) / 4.0
+    return validate_density_matrix(rho.reshape(-1, 4, 4)).reshape(rho.shape)
 
 
 def uncorrected_y_matrix(params: StateParams, channel: ChannelSpec, t: float) -> np.ndarray:

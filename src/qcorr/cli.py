@@ -11,6 +11,7 @@ numerical/validation error while computing.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -326,17 +327,7 @@ def _cmd_sweep(args: argparse.Namespace, out: TextIO) -> int:
         optimizer=settings,
     )
     if args.json:
-        payload = [
-            {
-                "channel": r.channel,
-                "measure": r.measure,
-                "theta": r.theta,
-                "gamma_t": r.gamma_t,
-                "value_closed": r.value_closed,
-                "value_oracle": r.value_oracle,
-            }
-            for r in table
-        ]
+        payload = [dataclasses.asdict(r) for r in table]
         out.write(json.dumps(payload, indent=2) + "\n")
         return 0
     # written block by block from the table's arrays, each theta and gamma*t
@@ -365,18 +356,8 @@ def _cmd_deathtime(args: argparse.Namespace, out: TextIO) -> int:
     channel = ChannelSpec(axis=args.axis, gamma=args.gamma, qubit=args.noisy_qubit)
     result = death_time(params, channel, measure=args.measure)
     if args.json:
-        payload = {
-            "theta": params.theta,
-            "axis": channel.axis,
-            "gamma": channel.gamma,
-            "measure": args.measure,
-            "kind": result.kind,
-            "time": result.time,
-            "bracket": list(result.bracket) if result.bracket else None,
-            "iterations": result.iterations,
-            "closed_form_time": result.closed_form_time,
-            "diagnostic": result.diagnostic,
-        }
+        payload = {"theta": params.theta, "axis": channel.axis, "gamma": channel.gamma,
+                   "measure": args.measure, **dataclasses.asdict(result)}
         out.write(json.dumps(payload, indent=2) + "\n")
         return 0
     p = args.precision
@@ -400,16 +381,7 @@ def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
         payload = {
             "passed": report.passed,
             "runtime_seconds": report.runtime_seconds,
-            "checks": [
-                {
-                    "check_id": c.check_id,
-                    "status": c.status,
-                    "detail": c.detail,
-                    "max_error": c.max_error,
-                    "tolerance": c.tolerance,
-                }
-                for c in report.checks
-            ],
+            "checks": [dataclasses.asdict(c) for c in report.checks],
         }
         out.write(json.dumps(payload, indent=2) + "\n")
         return 0 if report.passed else 1

@@ -25,29 +25,29 @@ keeps its own stopping rule, grid tie-break, pass count and diagnostics.
 Every kernel adds its terms in an order that does not depend on the stack,
 so a state's values are bit for bit the same alone or inside any stack.
 
-The closed forms use that every evolved family member is Bell-diagonal:
-a = b = 0 and T = diag(c) with c = (-q, -1, -q), q = 1 - 4 eta, and a Pauli
-channel on either qubit multiplies the two components of c orthogonal to
-its axis by mu = exp(-2 gamma t).  With the Bell weights w = (1 + s.c)/4
-(s = (-1,-1,-1), (1,-1,1), (-1,1,1), (1,1,-1) for psi-, phi+, phi-, psi+):
+The closed forms read the Bell-diagonal triple c of channels.family_triple,
+the one closed evolution rule (T = diag(c), a = b = 0).  With the Bell
+weights w = (1 + s.c)/4 (s = (-1,-1,-1), (1,-1,1), (-1,1,1), (1,1,-1) for
+psi-, phi+, phi-, psi+) and k = argmax |c_i|:
 
     concurrence            max(0, 2 max w - 1)            (Wootters)
     geometric discord      (sum c_i^2 - max c_i^2)/4      (Dakic-Vedral-Brukner)
     mutual information     2 - H(w)
-    classical correlation  1 - h((1 + max |c_i|)/2)       (Luo)
-    quantum discord        mutual information - classical correlation
+    classical correlation  1 - h((1 + |c_k|)/2)           (Luo)
+    quantum discord        sum_{sigma=+-1} r F(delta/r)   (Luo)
 
-The two entropies are evaluated as sum_k w_k log2(4 w_k) and
-[(1+phi) log2(1+phi) + (1-phi) log2(1-phi)]/2 with phi = max |c_i|, through
-log1p, so a discord that is small because every |c_i| is small keeps its
-relative accuracy.  One array-valued core (closed_values) evaluates all of
-them over whole (theta, t) grids; the per-measure *_closed functions are
-scalar wrappers around it.
+The discord is the relative entropy between the weights and their pair means
+along axis k: r = (1 + sigma c_k)/4 and delta = (c_i - sigma c_j)/4 for the
+other two axes, with F(x) = (1+x) log2(1+x) + (1-x) log2(1-x).  It equals
+mutual information minus classical correlation without their cancellation,
+so it keeps its relative accuracy where it is far smaller than either.  One
+array-valued core (closed_values) evaluates all of them over whole
+(theta, t) grids; the per-measure *_closed functions are scalar wrappers.
 
 All entropies are base 2 (bits).  The oracles take every von Neumann and
 post-measurement entropy from linalg.spectrum_entropy, the one entropy
-kernel; the closed forms need none, since their entropies are the log1p sums
-above.
+kernel; the closed forms need none, since their entropies are log1p and
+atanh sums, accurate when every |c_i| is small.
 """
 from __future__ import annotations
 
@@ -58,7 +58,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channels import ChannelSpec, decay_factor
+from .channels import ChannelSpec, decay_factor, family_triple
 from .linalg import PAULI_Y, partial_trace, pauli_coefficients, spectrum_entropy
 from .states import InvalidStateError, StateParams, validate_density_matrix
 
@@ -283,40 +283,6 @@ def quantum_discord_y_expanded(params: StateParams, channel: ChannelSpec, t: flo
 # closed forms on the correlation triple
 # ---------------------------------------------------------------------------
 
-# the components of c that a Pauli channel along each axis scales by mu
-_ORTHOGONAL = {"x": (1, 2), "y": (0, 2), "z": (0, 1)}
-
-
-def _correlation_triple(
-    params: StateParams | Sequence[StateParams],
-    channel: ChannelSpec | None = None,
-    t: float | Sequence[float] = 0.0,
-) -> np.ndarray:
-    """c = (c1, c2, c3) with T = diag(c) for every evolved family member.
-
-    The initial state has c = (-q, -1, -q) with q = 1 - 4 eta.  A Pauli
-    channel on either qubit multiplies the two components orthogonal to its
-    axis by mu = exp(-2 gamma t); no channel leaves c as it is.  The result
-    has shape P + T + (3,), where P and T are the shapes of params and t
-    (empty for a single StateParams or a scalar time).
-    """
-    if isinstance(params, StateParams):
-        eta = np.array(params.eta)
-    else:
-        eta = np.array([p.eta for p in params], dtype=float)
-    q = 1.0 - 4.0 * eta
-    times = np.asarray(t, dtype=float)
-    c = np.empty(q.shape + times.shape + (3,))
-    c[...] = -q.reshape(q.shape + (1,) * (times.ndim + 1))
-    c[..., 1] = -1.0
-    if channel is not None:
-        mu = np.array([decay_factor(channel, x) for x in times.ravel().tolist()])
-        mu = mu.reshape(times.shape)
-        for k in _ORTHOGONAL[channel.axis]:
-            c[..., k] *= mu
-    return c
-
-
 # Bell-state sign patterns s, one row each for |psi->, |phi+>, |phi->, |psi+>
 _BELL_SIGNS = np.array([[-1.0, -1.0, -1.0], [1.0, -1.0, 1.0], [-1.0, 1.0, 1.0], [1.0, 1.0, -1.0]])
 
@@ -348,12 +314,42 @@ def _classical_correlation_triple(c: np.ndarray) -> np.ndarray:
     return 0.5 * (_one_plus_x_log2(phi) + _one_plus_x_log2(-phi))
 
 
+def _pair_log2(x: np.ndarray) -> np.ndarray:
+    """F(x) = (1 + x) log2(1 + x) + (1 - x) log2(1 - x) elementwise: below
+    |x| = 1/2 as [2 x atanh(x) + log1p(-x^2)]/ln 2, whose terms do not cancel
+    as x -> 0, above as the log1p pair, which stays accurate as |x| -> 1."""
+    small = np.abs(x) < 0.5
+    s = x * small  # 0 where |x| >= 1/2, which keeps atanh finite
+    near_zero = (2.0 * s * np.arctanh(s) + np.log1p(-s * s)) / math.log(2.0)
+    return np.where(small, near_zero, _one_plus_x_log2(x) + _one_plus_x_log2(-x))
+
+
+_SIGMA = np.array([1.0, -1.0])
+# _PAIRS[k] takes c to (sigma c_k, c_i - sigma c_j) for sigma = +1, -1, with
+# (i, j) the two axes after k in cyclic order; its zeros add exact zeros, so
+# each entry rounds as the two-term expression does
+_PAIRS = np.zeros((3, 3, 4))
+for _k in range(3):
+    _PAIRS[_k, _k, :2] = _SIGMA
+    _PAIRS[_k, (_k + 1) % 3, 2:] = 1.0
+    _PAIRS[_k, (_k + 2) % 3, 2:] = -_SIGMA
+
+
+def _quantum_discord_triple(c: np.ndarray) -> np.ndarray:
+    """sum_{sigma=+-1} r F(delta/r) along the dominant axis k (see the module
+    docstring); a pair with r = 0 adds 0."""
+    y = (c[..., None, :] @ _PAIRS[np.abs(c).argmax(axis=-1)])[..., 0, :]
+    r = (1.0 + y[..., :2]) / 4.0
+    delta = y[..., 2:] / 4.0
+    return (r * _pair_log2(delta / np.where(r > 0.0, r, 1.0))).sum(axis=-1)
+
+
 _TRIPLE_MEASURES = {
     # 2 max w - 1 = (max x - 1)/2
     "concurrence": lambda c: np.maximum(0.5 * (_bell_projections(c).max(axis=-1) - 1.0), 0.0),
     # the two smaller squares: sum c^2 - max c^2 without the cancellation
     "geometric_discord": lambda c: 0.25 * np.sort(c * c, axis=-1)[..., :2].sum(axis=-1),
-    "quantum_discord": lambda c: _mutual_information_triple(c) - _classical_correlation_triple(c),
+    "quantum_discord": _quantum_discord_triple,
     "mutual_information": _mutual_information_triple,
     "classical_correlation": _classical_correlation_triple,
 }
@@ -369,11 +365,11 @@ def closed_values(
 ) -> dict[str, np.ndarray]:
     """Closed-form value of each named measure for every family member in
     params evolved to every time in t, as arrays of shape P + T (see
-    _correlation_triple).  The counterpart of oracle_values."""
+    channels.family_triple).  The counterpart of oracle_values."""
     for name in names:
         if name not in _TRIPLE_MEASURES:
             raise ValueError(f"unknown measure {name!r}; choose from {sorted(MEASURE_NAMES)}")
-    c = _correlation_triple(params, channel, t)
+    c = family_triple(params, channel, t)
     return {name: _finalize(_TRIPLE_MEASURES[name](c)) for name in names}
 
 
@@ -420,7 +416,7 @@ def classical_correlation_closed(
 def quantum_discord_closed(
     params: StateParams, channel: ChannelSpec | None = None, t: float = 0.0
 ) -> MeasureResult:
-    """Closed-form discord: mutual information minus classical correlation."""
+    """Closed-form discord (Luo's relative-entropy form of I - CC)."""
     return _closed_result("quantum_discord", params, channel, t)
 
 

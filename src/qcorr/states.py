@@ -137,13 +137,14 @@ def _first(bad: np.ndarray, values: np.ndarray) -> float:
     return float(values.ravel()[np.flatnonzero(bad)[0]])
 
 
-_NON_X_ENTRIES = [(0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2)]
+# the eight entries an X state keeps at zero
+_NON_X = ~np.eye(4, dtype=bool) & ~np.eye(4, dtype=bool)[::-1]
 
 
 def x_structure_defect(rho: np.ndarray) -> float:
-    """Largest magnitude among the eight entries an X state must keep at zero."""
-    rho = np.asarray(rho)
-    return float(max(abs(rho[i, j]) for i, j in _NON_X_ENTRIES))
+    """Largest magnitude among the eight entries an X state must keep at
+    zero, over one 4x4 matrix or any stack of them."""
+    return float(np.abs(np.asarray(rho)[..., _NON_X]).max())
 
 
 def state_to_json(rho: np.ndarray) -> dict:

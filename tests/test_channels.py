@@ -16,7 +16,7 @@ from qcorr.channels import (
     lindblad_rhs,
     uncorrected_y_matrix,
 )
-from qcorr.states import initial_state, make_params
+from qcorr.states import initial_state, make_params, x_structure_defect
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -119,6 +119,66 @@ def test_analytic_evolve_matches_kraus_everywhere():
                 np.testing.assert_allclose(
                     analytic_evolve(p, ch, t), kraus_apply(rho, ch, t), atol=1e-14
                 )
+
+
+def per_axis_matrix(params, channel, t):
+    """The hand-written per-axis matrices analytic_evolve used to keep, one
+    branch per axis, as an independent reference for the triple's matrix."""
+    eta, xi = params.eta, params.xi
+    mu = decay_factor(channel, t)
+    lam = mu * (1.0 - 4.0 * eta)
+    rho = np.zeros((4, 4), dtype=complex)
+    if channel.axis == "x":
+        rho[0, 0] = rho[3, 3] = (1.0 - lam) / 4.0
+        rho[1, 1] = rho[2, 2] = (1.0 + lam) / 4.0
+        rho[0, 3] = rho[3, 0] = (1.0 + mu - 4.0 * xi) / 4.0
+        rho[1, 2] = rho[2, 1] = (1.0 - mu - 4.0 * xi) / 4.0
+    elif channel.axis == "y":
+        rho[0, 0] = rho[3, 3] = (1.0 - lam) / 4.0
+        rho[1, 1] = rho[2, 2] = (1.0 + lam) / 4.0
+        rho[0, 3] = rho[3, 0] = (1.0 - lam) / 4.0
+        rho[1, 2] = rho[2, 1] = -(1.0 + lam) / 4.0
+    else:
+        rho[0, 0] = rho[3, 3] = eta
+        rho[1, 1] = rho[2, 2] = xi
+        rho[0, 3] = rho[3, 0] = eta * mu
+        rho[1, 2] = rho[2, 1] = -xi * mu
+    return rho
+
+
+def test_triple_matrix_matches_the_per_axis_matrices():
+    for theta in np.linspace(0.0, math.pi, 121).tolist():
+        p = make_params(theta)
+        for axis in "xyz":
+            for qubit in "AB":
+                ch = ChannelSpec(axis=axis, qubit=qubit)
+                for t in (0.0, 0.3, 3.0, math.inf):
+                    err = np.abs(analytic_evolve(p, ch, t) - per_axis_matrix(p, ch, t)).max()
+                    assert err <= 2e-16, (theta, axis, qubit, t)
+
+
+def test_stacked_analytic_evolve_equals_the_per_point_calls():
+    params = [make_params(theta) for theta in (0.0, 0.4, math.pi / 2, 2.2, math.pi)]
+    times = (0.0, 0.3, 3.0, math.inf)
+    for axis in "xyz":
+        ch = ChannelSpec(axis=axis, gamma=1.3)
+        stack = analytic_evolve(params, ch, times)
+        assert stack.shape == (5, 4, 4, 4)
+        for i, p in enumerate(params):
+            np.testing.assert_array_equal(analytic_evolve(p, ch, times), stack[i])
+            for j, t in enumerate(times):
+                np.testing.assert_array_equal(analytic_evolve(p, ch, t), stack[i, j])
+    assert analytic_evolve(params[1], ChannelSpec(axis="z"), 0.5).shape == (4, 4)
+
+
+def test_x_structure_defect_of_a_stack_is_its_worst_member():
+    rng = np.random.default_rng(59)
+    stack = analytic_evolve([make_params(0.3), make_params(1.9)], ChannelSpec(axis="y"),
+                            (0.0, 0.5, 2.0))
+    leaky = stack + 1e-9 * rng.normal(size=stack.shape)
+    members = leaky.reshape(-1, 4, 4)
+    assert x_structure_defect(leaky) == max(x_structure_defect(rho) for rho in members)
+    assert x_structure_defect(stack) == 0.0
 
 
 def test_analytic_evolve_entries_spot_check():

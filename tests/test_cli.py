@@ -71,6 +71,27 @@ def test_state_and_evolve_output_golden(capsys, golden, argv):
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("sweep_oracle.json",
+         ["sweep", "--thetas", "pi/8,pi/2", "--times", "0,0.5", "--axes", "x,y",
+          "--measures", "concurrence,geometric_discord", "--oracle", "--json"]),
+        ("deathtime_esd.json", ["deathtime", "--theta", "pi/4", "--axis", "z", "--json"]),
+        ("deathtime_asymptotic.json", ["deathtime", "--theta", "pi/4", "--axis", "y", "--json"]),
+        ("deathtime_none.json", ["deathtime", "--theta", "pi/2", "--axis", "y", "--json"]),
+        ("deathtime_half_life.json",
+         ["deathtime", "--theta", "pi/4", "--axis", "y", "--measure", "geometric_discord",
+          "--json"]),
+    ],
+)
+def test_sweep_and_deathtime_json_golden(capsys, golden, argv):
+    # byte for byte, JSON key order included
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
 def test_negative_angle_joined_to_its_option(capsys):
     code, out = run(capsys, "state", "--theta=-pi/4", "--json", "--measures", "concurrence")
     assert code == 0

@@ -275,6 +275,20 @@ def test_death_time_none_when_concurrence_starts_at_zero_and_stays_there():
 def test_half_life_none_when_measure_starts_at_zero():
     res = death_time(make_params(math.pi / 2), ChannelSpec(axis="z"), measure="geometric_discord")
     assert res.kind == "none"
+    for measure in ("geometric_discord", "quantum_discord"):
+        res = death_time(make_params(math.pi / 2), ChannelSpec(axis="y"), measure=measure)
+        assert res.kind == "none" and res.time is None
+
+
+@pytest.mark.parametrize("offset", [-1e-3, 1e-3])
+@pytest.mark.parametrize("measure", ["geometric_discord", "quantum_discord"])
+def test_half_life_for_a_tiny_but_positive_start(offset, measure):
+    # q = cos^2(theta) is about 1e-6 here, so both discords start near 1e-12;
+    # on y noise the geometric discord mu^2 q^2 / 2 halves at exactly ln(2)/4,
+    # and the quantum discord F(mu q)/2 = (mu q)^2/ln 4 (1 + O(q^2)) with it
+    res = death_time(make_params(math.pi / 2 + offset), ChannelSpec(axis="y"), measure=measure)
+    assert res.kind == "half_life"
+    assert res.time == pytest.approx(math.log(2.0) / 4.0, rel=1e-9)
 
 
 def test_death_time_rejects_unknown_measure():

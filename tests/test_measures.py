@@ -6,7 +6,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from qcorr.channels import ChannelSpec, analytic_evolve, decay_factor, kraus_apply
+from qcorr.channels import ChannelSpec, analytic_evolve, decay_factor, family_triple, kraus_apply
 from qcorr.dynamics import MEASURE_NAMES, SweepGrid, sweep
 from qcorr.linalg import (
     PAULI_I,
@@ -839,6 +839,41 @@ def test_small_discord_keeps_its_relative_accuracy():
             want = float((sum(map(g, x)) / 4 - (g(phi) + g(-phi)) / 2) / Decimal(2).ln())
             assert 0.0 < want < 1e-10
             assert quantum_discord_closed(p, ch, t).value == pytest.approx(want, rel=1e-9)
+
+
+
+def test_closed_discord_against_a_60_digit_reference():
+    # Reference: mutual information minus classical correlation in 60-digit
+    # arithmetic on the same float triple, where their cancellation is
+    # harmless.  theta runs log-spaced toward 0, pi/2 and pi.
+    import mpmath
+
+    steps = np.logspace(-1.0, -8.0, 15)
+    thetas = np.concatenate([steps, math.pi / 2 - steps, math.pi / 2 + steps, math.pi - steps])
+    params = [make_params(theta) for theta in thetas.tolist()]
+    times = (0.0, 1e-6, 1e-3, 0.4, 3.0, 30.0)
+    signs = ((-1, -1, -1), (1, -1, 1), (-1, 1, 1), (1, 1, -1))
+    worst = 0.0
+    with mpmath.workdps(60):
+
+        def g(x):  # (1 + x) log2(1 + x), 0 at x = -1
+            return (1 + x) * mpmath.log(1 + x, 2) if 1 + x > 0 else mpmath.mpf(0)
+
+        for axis in "xyz":
+            for qubit in "AB":
+                ch = ChannelSpec(axis=axis, qubit=qubit)
+                got = closed_values(params, ch, times, ("quantum_discord",))["quantum_discord"]
+                for c, value in zip(family_triple(params, ch, times).reshape(-1, 3).tolist(),
+                                    got.ravel().tolist()):
+                    c = [mpmath.mpf(ci) for ci in c]
+                    x = [sum(s * ci for s, ci in zip(row, c)) for row in signs]
+                    phi = max(abs(ci) for ci in c)
+                    want = sum(map(g, x)) / 4 - (g(phi) + g(-phi)) / 2
+                    if want > mpmath.mpf("1e-30"):
+                        worst = max(worst, float(abs(value - want) / want))
+                    else:
+                        assert value <= 1e-30
+    assert worst <= 1e-12
 
 
 # ---------------------------------------------------------------------------
