@@ -36,6 +36,8 @@ __all__ = ["main", "build_parser"]
 
 # most time points a --times range or --tsteps may ask for
 MAX_TIME_POINTS = 100_000
+# most steps evolve --steps may ask for (about 1.7 s of rk4)
+MAX_RK4_STEPS = 1_000_000
 
 # [sign] [coefficient, with an optional exponent] [*] pi [/ denominator]
 _PI_TOKEN = re.compile(
@@ -58,6 +60,12 @@ def parse_angle(token: str) -> float:
         return float(token)
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse angle {token!r}") from None
+
+
+def _angle_token(token: str) -> str:
+    """A token parse_angle accepts, kept as text until --degrees is known."""
+    parse_angle(token)
+    return token
 
 
 def _angle_list(text: str) -> list[float]:
@@ -193,10 +201,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid-points", type=int, default=1024, metavar="N",
                        help="measurement-sphere seed grid size (default 1024)")
         p.add_argument("--opt-tol", type=float, default=1e-7, metavar="TOL",
-                       help="optimizer refinement tolerance (default 1e-7)")
+                       help="compass-search step in radians at which the optimizer"
+                       " refinement stops (default 1e-7)")
 
     p_state = sub.add_parser("state", help="build an initial family member and measure it")
-    p_state.add_argument("--theta", required=True, type=parse_angle, metavar="ANGLE",
+    p_state.add_argument("--theta", required=True, type=_angle_token, metavar="ANGLE",
                          help="family parameter, e.g. 0.7, pi/8, 3pi/4")
     p_state.add_argument("--degrees", action="store_true",
                          help="interpret a plain-number --theta as degrees")
@@ -218,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_evolve.add_argument("--method", choices=("kraus", "analytic", "rk4"), default="kraus",
                           help="evolution route (default kraus)")
     p_evolve.add_argument("--steps", type=int, default=400, metavar="N",
-                          help="rk4 step count (default 400)")
+                          help=f"rk4 step count (default 400, at most {MAX_RK4_STEPS})")
     p_evolve.add_argument("--check", action="store_true",
                           help="append a cross-method deviation footer (exit 1 if over tolerance)")
     p_evolve.add_argument("--measures", type=_measure_list,
@@ -421,6 +430,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if not 6 <= args.precision <= 17:
         parser.error(f"--precision must be in [6, 17], got {args.precision}")
+    if args.command == "state":
+        if args.degrees and _PI_TOKEN.match(args.theta.lower()):
+            parser.error(f"--degrees takes a plain-number --theta, got {args.theta!r}")
+        args.theta = parse_angle(args.theta)
+    if args.command == "evolve" and args.steps > MAX_RK4_STEPS:
+        parser.error(f"--steps must be at most {MAX_RK4_STEPS}")
     if args.command == "sweep":
         has_range = args.tmax is not None or args.tsteps is not None
         if args.times is not None and has_range:

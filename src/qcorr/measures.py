@@ -6,7 +6,7 @@ oracle that works on any two-qubit density matrix, and a closed form for the
 one-parameter family evolved under the Pauli channels.  The discord oracle
 minimizes the post-measurement conditional entropy over all rank-one
 projective measurements on one side, using a deterministic Fibonacci-sphere
-grid followed by coordinate-descent refinement; there is no randomness
+grid followed by a compass search on the sphere; there is no randomness
 anywhere, so repeated runs agree bit for bit on one platform.
 
 The conditional entropy is evaluated in Bloch form, which holds for any
@@ -19,9 +19,9 @@ swaps a and b and uses T in place of T^T.
 Every oracle kernel works on an (n, 4, 4) stack of validated states; the
 public one-state functions run the same kernels with n = 1.  The optimizer
 evaluates its grid in blocks of (state, direction) pairs, then refines all
-states in lockstep: each golden-section step evaluates one new point for
-every state whose search is still running, as one array, and each state
-keeps its own stopping rule, grid tie-break, pass count and diagnostics.
+states in rounds: each round evaluates eight compass points in the tangent
+plane for every state whose search is still running, as one array, and each
+state keeps its own step, stopping rule, tie-breaks and diagnostics.
 Every kernel adds its terms in an order that does not depend on the stack,
 so a state's values are bit for bit the same alone or inside any stack.
 
@@ -101,8 +101,8 @@ class MeasureResult:
 
 
 MAX_GRID_POINTS = 2**20
-# coordinate-descent passes after which the sphere search stops regardless
-_MAX_PASSES = 60
+# compass rounds after which the sphere search stops regardless
+_MAX_ROUNDS = 400
 
 
 @dataclass(frozen=True)
@@ -125,9 +125,9 @@ class OptimizerSettings:
 class OptimizerDiagnostics:
     """Where the sphere search ended up and how hard it worked.
 
-    evaluations counts objective evaluations (grid plus line searches);
-    final_window is the half-width in radians of the last pass's line
-    searches."""
+    refinement_iterations counts compass rounds; evaluations counts
+    objective evaluations, grid_points + 8 per round; final_window is the
+    step in radians of the last round."""
 
     best_direction: tuple[float, float, float]
     grid_points: int
@@ -464,48 +464,6 @@ def _conditional_entropy(u: np.ndarray, b1: np.ndarray) -> np.ndarray:
     return np.where(live, p * entropy, 0.0).sum(axis=0)
 
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_sections(
-    f, lo: np.ndarray, hi: np.ndarray, angle_tol: float = 1e-6
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Golden-section minimization on [lo, hi] for each state, in lockstep.
-
-    f maps one point per state to one value per state.  A state's interval
-    stops shrinking once it is no wider than angle_tol; f still sees a point
-    for it, whose value is dropped.  Returns (x, f(x), evaluations) per state.
-    """
-    a, b = lo, hi
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    evaluations = np.full(a.shape, 2)
-    live = (b - a) > angle_tol
-    while live.any():
-        left = fc <= fd
-        keep_left, keep_right = live & left, live & ~left
-        a = np.where(keep_right, c, a)
-        b = np.where(keep_left, d, b)
-        x = np.where(left, b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a))
-        fx = f(x)
-        c, fc, d, fd = (
-            np.where(keep_left, x, np.where(keep_right, d, c)),
-            np.where(keep_left, fx, np.where(keep_right, fd, fc)),
-            np.where(keep_left, c, np.where(keep_right, x, d)),
-            np.where(keep_left, fc, np.where(keep_right, fx, fd)),
-        )
-        evaluations += live
-        live = (b - a) > angle_tol
-    first = fc <= fd
-    return np.where(first, c, d), np.where(first, fc, fd), evaluations
-
-
-def _direction(theta_s: float, phi_s: float) -> tuple[float, float, float]:
-    st = math.sin(theta_s)
-    return (st * math.cos(phi_s), st * math.sin(phi_s), math.cos(theta_s))
-
-
 def _measurement_frame(r: np.ndarray, measured_side: str) -> tuple[np.ndarray, np.ndarray]:
     """(m, b1) from an (n, 4, 4) stack of Pauli coefficients: m[:, i] is
     (a_i, T_i1, T_i2, T_i3), so that n^T m = (a.n, T^T n) for a direction n,
@@ -516,6 +474,18 @@ def _measurement_frame(r: np.ndarray, measured_side: str) -> tuple[np.ndarray, n
     b1 = r[:, 0, :].copy()
     b1[:, 0] = 1.0
     return r[:, 1:, :], b1
+
+
+# the compass search's eight headings k pi/4, as (cos, sin) in the tangent plane
+_COMPASS = np.stack([np.cos(np.arange(8) * np.pi / 4), np.sin(np.arange(8) * np.pi / 4)], axis=1)
+_X_HAT, _Y_HAT = np.eye(3)[:2]
+_NEXT, _AFTER_NEXT = [1, 2, 0], [2, 0, 1]
+
+
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u x v along the last axis (np.cross does the same at several times
+    the dispatch cost)."""
+    return u[..., _NEXT] * v[..., _AFTER_NEXT] - u[..., _AFTER_NEXT] * v[..., _NEXT]
 
 
 def _optimize(
@@ -529,67 +499,49 @@ def _optimize(
 
     dirs = _fibonacci_sphere(settings.grid_points)
     value = np.empty(n)
-    start = np.empty((n, 3))
+    direction = np.empty((n, 3))
     per_block = max(1, _GRID_BLOCK // settings.grid_points)
     for lo in range(0, n, per_block):
         block = slice(lo, lo + per_block)
         values = _conditional_entropy(dirs @ m[block], b1[block, None, :])
         value[block] = values.min(axis=1)
-        start[block] = dirs[(values == value[block, None]).argmax(axis=1)]
-    theta = np.arccos(np.clip(start[:, 2], -1.0, 1.0))
-    phi = np.arctan2(start[:, 1], start[:, 0])
+        direction[block] = dirs[(values == value[block, None]).argmax(axis=1)]
 
-    evaluations = np.full(n, settings.grid_points)
-    iterations = np.zeros(n, dtype=int)
+    step = np.full(n, 3.6 / math.sqrt(settings.grid_points))
     final_window = np.empty(n)
+    rounds = np.zeros(n, dtype=int)
     running = np.ones(n, dtype=bool)
-    window = 2.0 * 3.6 / math.sqrt(settings.grid_points)
-    for _ in range(_MAX_PASSES):
+    for _ in range(_MAX_ROUNDS):
         rows = np.flatnonzero(running)
-        m0, m1, m2 = (m[rows, i] for i in range(3))
-        b1_rows = b1[rows]
-        previous = value[rows]
-
-        cos_phi, sin_phi = np.cos(phi[rows]), np.sin(phi[rows])
-
-        def along_theta(x: np.ndarray) -> np.ndarray:
-            st = np.sin(x)
-            u = m0 * (st * cos_phi)[:, None] + m1 * (st * sin_phi)[:, None] + m2 * np.cos(x)[:, None]
-            return _conditional_entropy(u, b1_rows)
-
-        theta[rows], _, spent_theta = _golden_sections(
-            along_theta, theta[rows] - window, theta[rows] + window
-        )
-        sin_theta, cos_theta = np.sin(theta[rows]), np.cos(theta[rows])
-
-        def along_phi(x: np.ndarray) -> np.ndarray:
-            u = (m0 * (sin_theta * np.cos(x))[:, None] + m1 * (sin_theta * np.sin(x))[:, None]
-                 + m2 * cos_theta[:, None])
-            return _conditional_entropy(u, b1_rows)
-
-        phi[rows], value[rows], spent_phi = _golden_sections(
-            along_phi, phi[rows] - window, phi[rows] + window
-        )
-        evaluations[rows] += spent_theta + spent_phi
-        iterations[rows] += 1
-        final_window[rows] = window
-        window = max(window * 0.25, 1e-5)
-        running[rows] = ~(previous - value[rows] < settings.final_tolerance)
+        d, s = direction[rows], step[rows]
+        # a tangent basis at d, crossed with whichever of x and y is far from d
+        e1 = _cross(d, np.where(np.abs(d[:, :1]) < 0.6, _X_HAT, _Y_HAT))
+        e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+        tangent = s[:, None, None] * np.stack([e1, _cross(d, e1)], axis=1)
+        candidates = d[:, None, :] + _COMPASS @ tangent
+        candidates /= np.linalg.norm(candidates, axis=2, keepdims=True)
+        values = _conditional_entropy(candidates @ m[rows], b1[rows, None, :])
+        k = values.argmin(axis=1)
+        best = values[np.arange(len(rows)), k]
+        moved = best < value[rows]
+        direction[rows[moved]] = candidates[moved, k[moved]]
+        value[rows[moved]] = best[moved]
+        final_window[rows] = s
+        step[rows] = np.where(moved, s, s / 4.0)
+        rounds[rows] += 1
+        running[rows] = step[rows] > settings.final_tolerance
         if not running.any():
             break
     diagnostics = [
         OptimizerDiagnostics(
-            best_direction=_direction(th, ph),
+            best_direction=tuple(best_n),
             grid_points=settings.grid_points,
-            refinement_iterations=passes,
+            refinement_iterations=count,
             final_tolerance=settings.final_tolerance,
-            evaluations=count,
+            evaluations=settings.grid_points + len(_COMPASS) * count,
             final_window=last,
         )
-        for th, ph, passes, count, last in zip(
-            theta.tolist(), phi.tolist(), iterations.tolist(), evaluations.tolist(),
-            final_window.tolist(),
-        )
+        for best_n, count, last in zip(direction.tolist(), rounds.tolist(), final_window.tolist())
     ]
     return value, diagnostics
 
@@ -604,11 +556,14 @@ def optimal_conditional_entropy(
 
     The projectors are (I +- n.sigma)/2 for a unit direction n.  A
     deterministic Fibonacci-sphere grid (settings.grid_points directions)
-    seeds a coordinate descent in the spherical angles of n, each coordinate
-    refined by golden-section line search, until one full pass improves the
-    entropy by less than settings.final_tolerance or 60 passes have run.  An outcome with
-    probability below 1e-14 contributes zero.  Ties on the grid resolve to
-    the lexicographically smallest direction, keeping the result unique.
+    seeds a compass search on the sphere.  Each round evaluates the eight
+    points normalize(n + s(cos(k pi/4) e1 + sin(k pi/4) e2)) around the
+    current n, with (e1, e2) a tangent basis at n, moves to the best of them
+    if it is strictly lower and otherwise divides the step s by 4.  The step
+    starts at 3.6/sqrt(grid_points) rad, and the search stops once it is at
+    most settings.final_tolerance rad, or after 400 rounds.  An outcome with
+    probability below 1e-14 contributes zero.  Ties resolve to the first
+    point: the lexicographically smallest grid direction, the lowest k.
     """
     return _single_oracle("conditional_entropy", rho, measured_side, settings)
 

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcorr.cli import MAX_TIME_POINTS, build_parser, main, parse_angle
+from qcorr import cli
+from qcorr.cli import MAX_RK4_STEPS, MAX_TIME_POINTS, build_parser, main, parse_angle
 
 
 def run(capsys, *argv):
@@ -102,6 +103,15 @@ def test_state_degrees_flag(capsys):
     code, out = run(capsys, "state", "--theta", "45", "--degrees", "--json")
     assert code == 0
     assert json.loads(out)["theta"] == pytest.approx(math.pi / 4)
+
+
+@pytest.mark.parametrize("token", ["pi/4", "0.25*pi", "-pi/4"])
+def test_state_degrees_rejects_a_pi_token(capsys, token):
+    # a pi token is already in radians; converting it again would be silent
+    with pytest.raises(SystemExit) as err:
+        main(["state", f"--theta={token}", "--degrees"])
+    assert err.value.code == 2
+    assert "--degrees" in capsys.readouterr().err
 
 
 def test_state_text_output(capsys):
@@ -298,6 +308,15 @@ def test_usage_errors_exit_2(capsys):
         main(["sweep", "--thetas", "pi/4", "--tmax", "1", "--tsteps", str(MAX_TIME_POINTS + 1)])
     assert err.value.code == 2
     capsys.readouterr()
+
+
+def test_rk4_step_count_is_bounded_before_anything_runs(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "integrate_rk4", lambda *args, **kwargs: pytest.fail("integrated"))
+    with pytest.raises(SystemExit) as err:
+        main(["evolve", "--theta", "pi/4", "--axis", "z", "--time", "1", "--method", "rk4",
+              "--steps", str(MAX_RK4_STEPS + 1)])
+    assert err.value.code == 2
+    assert f"at most {MAX_RK4_STEPS}" in capsys.readouterr().err
 
 
 def test_computation_errors_exit_3(capsys):

@@ -13,7 +13,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qcorr.channels import ChannelSpec, kraus_apply
-from qcorr.measures import closed_values, concurrence
+from qcorr.linalg import pauli_coefficients
+from qcorr.measures import (
+    _conditional_entropy,
+    _measurement_frame,
+    closed_values,
+    concurrence,
+    optimal_conditional_entropy,
+)
 from qcorr.states import initial_state, make_params
 
 TOL = 1e-12
@@ -24,6 +31,7 @@ thetas = st.floats(0.0, math.pi)
 times = st.floats(0.0, 50.0)
 channels = st.builds(ChannelSpec, axis=st.sampled_from("xyz"), qubit=st.sampled_from("AB"))
 seeds = st.integers(0, 2**32 - 1)
+directions = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 1e-3)
 
 
 def random_state(seed: int) -> np.ndarray:
@@ -82,3 +90,12 @@ def test_noise_on_a_is_noise_on_b_conjugated_by_swap(theta, seed, axis, t):
     rho = random_state(seed)
     swapped = SWAP @ kraus_apply(SWAP @ rho @ SWAP, on_b, t) @ SWAP
     assert np.abs(kraus_apply(rho, on_a, t) - swapped).max() <= TOL
+
+
+@given(seed=seeds, direction=directions, side=st.sampled_from("AB"))
+def test_optimal_conditional_entropy_is_below_every_direction(seed, direction, side):
+    rho = random_state(seed)
+    n = np.array(direction) / math.hypot(*direction)
+    m, b1 = _measurement_frame(pauli_coefficients(rho)[None], side)
+    along_n = float(_conditional_entropy(n @ m, b1)[0])
+    assert optimal_conditional_entropy(rho, side).value <= along_n + TOL
