@@ -47,14 +47,12 @@ from .measures import (
     OptimizerDiagnostics,
     OptimizerSettings,
     classical_correlation,
-    classical_correlation_closed,
     closed_values,
     concurrence,
     concurrence_closed,
     geometric_discord,
     geometric_discord_closed,
     mutual_information,
-    mutual_information_closed,
     optimal_conditional_entropy,
     oracle_values,
     quantum_discord,
@@ -120,12 +118,10 @@ __all__ = [
     "geometric_discord",
     "geometric_discord_closed",
     "mutual_information",
-    "mutual_information_closed",
     "optimal_conditional_entropy",
     "closed_values",
     "oracle_values",
     "classical_correlation",
-    "classical_correlation_closed",
     "quantum_discord",
     "quantum_discord_closed",
     # dynamics

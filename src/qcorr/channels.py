@@ -37,6 +37,8 @@ __all__ = [
 
 _AXES = ("x", "y", "z")
 _QUBITS = ("A", "B")
+# rates this far inside the float range keep 2 gamma, 1/gamma and 51/gamma finite
+_GAMMA_MIN, _GAMMA_MAX = 1e-300, 1e300
 
 
 @dataclass(frozen=True)
@@ -51,8 +53,9 @@ class ChannelSpec:
     def __post_init__(self):
         if self.axis not in _AXES:
             raise ValueError(f"axis must be one of {_AXES}, got {self.axis!r}")
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
+        if not _GAMMA_MIN <= self.gamma <= _GAMMA_MAX:
+            raise ValueError(
+                f"gamma must be in [{_GAMMA_MIN:g}, {_GAMMA_MAX:g}], got {self.gamma}")
         if self.qubit not in _QUBITS:
             raise ValueError(f"qubit must be 'A' or 'B', got {self.qubit!r}")
 
@@ -171,9 +174,10 @@ def uncorrected_y_matrix(params: StateParams, channel: ChannelSpec, t: float) ->
     the discrepancy report: its (3,2) entry is -(1-lam)/4 instead of the
     Hermitian partner -(1+lam)/4, so it fails Hermiticity by |lam|/2 for t > 0
     and does not reduce to the initial state at t = 0."""
+    if channel.axis != "y":
+        raise ValueError("the uncorrected variant is specific to the y axis")
     lam = decay_factor(channel, t) * (1.0 - 4.0 * params.eta)
-    rho = analytic_evolve(params, ChannelSpec("y", channel.gamma, channel.qubit), t)
-    rho = rho.copy()
+    rho = analytic_evolve(params, channel, t)
     rho[2, 1] = -(1.0 - lam) / 4.0
     return rho
 

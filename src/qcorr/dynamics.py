@@ -31,6 +31,7 @@ from .channels import (
 from .measures import (
     MEASURE_NAMES,
     OptimizerSettings,
+    _wootters_scores,
     closed_values,
     concurrence,
     oracle_values,
@@ -39,7 +40,6 @@ from .measures import (
     quantum_discord_xz_expanded,
     quantum_discord_y_expanded,
     uncorrected_x_concurrence,
-    wootters_score,
 )
 from .states import (
     StateParams,
@@ -220,23 +220,6 @@ def closed_death_time_trig(theta: float, gamma: float = 1.0) -> float:
     return math.log((1.0 - 2.0 / (s * s)) ** 2) / (4.0 * gamma)
 
 
-def _bisect(
-    f: Callable[[float], float], lo: float, hi: float, rel_tol: float = 1e-10
-) -> tuple[float, tuple[float, float], int]:
-    """Standard bisection for f(lo) > 0 > f(hi)."""
-    iterations = 0
-    while (hi - lo) > rel_tol * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        iterations += 1
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if iterations > 200:
-            break
-    return 0.5 * (lo + hi), (lo, hi), iterations
-
-
 def death_time(
     params: StateParams,
     channel: ChannelSpec,
@@ -245,7 +228,9 @@ def death_time(
     """Find when a measure dies (concurrence) or halves (discords).
 
     Concurrence uses the signed spin-flip score of the independently evolved
-    state, bracketing by doubling from t = 1/gamma and bisecting.  Both
+    state, bracketing by doubling from t = 1/gamma and bisecting to a width
+    of 1e-10 decay times (1e-10 t for roots t past 1/gamma), so the relative
+    accuracy does not depend on gamma.  Both
     thresholds scale with s = 1 - score(0), which is 2 (chi2 + chi3 + chi4)
     at t = 0 and 4 eta on the family, the depth the score sinks to past a
     death: the search looks for the score falling to 1e-12 s, and the root is
@@ -270,16 +255,27 @@ def death_time(
 def _crossing(
     f: Callable[[float], float], gamma: float
 ) -> Optional[tuple[float, tuple[float, float], int]]:
-    """Bracket the first sign change of f by doubling from t = 1/gamma, then
-    bisect it; None when f stays positive up to gamma t = 50."""
-    lo, hi = 0.0, 1.0 / gamma
+    """Bracket the first sign change of f by doubling from t = 1/gamma (None
+    if f stays positive up to gamma t = 50), then bisect until the bracket
+    is at most 1e-10 max(1/gamma, hi) wide: 1e-10 decay times, or 1e-10
+    relative for later roots.  Returns (midpoint, bracket, bisections)."""
+    decay_time = 1.0 / gamma
+    lo, hi = 0.0, decay_time
     t_cap = _GAMMA_T_CAP / gamma
     while f(hi) > 0.0:
         lo = hi
         hi *= 2.0
         if hi > t_cap:
             return None
-    return _bisect(f, lo, hi)
+    iterations = 0
+    while (hi - lo) > 1e-10 * max(decay_time, hi) and iterations <= 200:
+        mid = 0.5 * (lo + hi)
+        iterations += 1
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), (lo, hi), iterations
 
 
 def _concurrence_death(params: StateParams, channel: ChannelSpec) -> DeathTimeResult:
@@ -287,7 +283,8 @@ def _concurrence_death(params: StateParams, channel: ChannelSpec) -> DeathTimeRe
     rho0 = initial_state(params)
 
     def score(t: float) -> float:
-        return wootters_score(kraus_apply(rho0, channel, t))
+        # initial_state validated rho0, and the Kraus map keeps it a state
+        return float(_wootters_scores(kraus_apply(rho0, channel, t)[None])[0])
 
     initial = score(0.0)
     scale = 1.0 - initial

@@ -74,10 +74,8 @@ __all__ = [
     "geometric_discord",
     "geometric_discord_closed",
     "mutual_information",
-    "mutual_information_closed",
     "optimal_conditional_entropy",
     "classical_correlation",
-    "classical_correlation_closed",
     "quantum_discord",
     "quantum_discord_closed",
     "quantum_discord_xz_expanded",
@@ -396,21 +394,6 @@ def geometric_discord_closed(
 ) -> MeasureResult:
     """Closed-form geometric discord (sum c^2 - max c^2)/4 of the evolved family."""
     return _closed_result("geometric_discord", params, channel, t)
-
-
-def mutual_information_closed(
-    params: StateParams, channel: ChannelSpec | None = None, t: float = 0.0
-) -> MeasureResult:
-    """2 - H(w) for the family (both marginals stay maximally mixed)."""
-    return _closed_result("mutual_information", params, channel, t)
-
-
-def classical_correlation_closed(
-    params: StateParams, channel: ChannelSpec | None = None, t: float = 0.0
-) -> MeasureResult:
-    """1 - h((1 + max |c_i|)/2) for the family (the unmeasured marginal is
-    maximally mixed)."""
-    return _closed_result("classical_correlation", params, channel, t)
 
 
 def quantum_discord_closed(

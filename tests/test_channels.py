@@ -40,6 +40,14 @@ def test_channel_spec_validation():
         ChannelSpec(axis="x", gamma=0.0)
     with pytest.raises(ValueError):
         ChannelSpec(axis="x", qubit="C")
+    # both ends of the rate range keep 2 gamma, 1/gamma and the search horizon finite
+    for gamma in (1e-300, 1e300):
+        ch = ChannelSpec(axis="z", gamma=gamma)
+        assert math.isfinite(2.0 * ch.gamma) and math.isfinite(51.0 / ch.gamma)
+        assert decay_factor(ch, 0.0) == 1.0
+    for gamma in (1e-320, 0.99e-300, 1.01e300, 1e308, math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError, match="gamma must be in"):
+            ChannelSpec(axis="z", gamma=gamma)
 
 
 def test_decay_factor():
@@ -318,3 +326,13 @@ def test_uncorrected_y_matrix_is_not_hermitian():
     assert defect == pytest.approx(lam / 2.0, abs=1e-15)
     good = analytic_evolve(p, ch, 0.5)
     assert np.abs(good - good.conj().T).max() < 1e-16
+    # the channel is used as given, so only a y channel is accepted
+    for axis in "xz":
+        with pytest.raises(ValueError, match="y axis"):
+            uncorrected_y_matrix(p, ChannelSpec(axis=axis), 0.5)
+    ch = ChannelSpec(axis="y", gamma=0.8, qubit="A")
+    bad = uncorrected_y_matrix(p, ch, 0.5)
+    good = analytic_evolve(p, ch, 0.5)
+    assert bad[2, 1] != good[2, 1]
+    bad[2, 1] = good[2, 1]
+    np.testing.assert_array_equal(bad, good)

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from qcorr import cli
-from qcorr.cli import MAX_RK4_STEPS, MAX_TIME_POINTS, build_parser, main, parse_angle
+from qcorr.cli import (
+    MAX_RK4_STEPS,
+    MAX_SWEEP_POINTS,
+    MAX_TIME_POINTS,
+    build_parser,
+    main,
+    parse_angle,
+)
 
 
 def run(capsys, *argv):
@@ -319,13 +326,52 @@ def test_rk4_step_count_is_bounded_before_anything_runs(capsys, monkeypatch):
     assert f"at most {MAX_RK4_STEPS}" in capsys.readouterr().err
 
 
+def test_sweep_grid_size_is_bounded_before_anything_runs(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "sweep", lambda *args, **kwargs: pytest.fail("evaluated"))
+    thetas = ",".join(str(0.1 * k) for k in range(1, 12))
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", "--thetas", thetas, "--tmax", "1", "--tsteps", "100000", "--axes", "z"])
+    assert err.value.code == 2
+    assert f"more than {MAX_SWEEP_POINTS}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["kraus", "analytic"])
+@pytest.mark.parametrize("steps", ["0", "400"])
+def test_evolve_steps_is_rk4_only(capsys, method, steps):
+    with pytest.raises(SystemExit) as err:
+        main(["evolve", "--theta", "pi/4", "--axis", "z", "--time", "1", "--method", method,
+              "--steps", steps])
+    assert err.value.code == 2
+    assert "rk4 only" in capsys.readouterr().err
+
+
+def test_evolve_rk4_steps_default_and_explicit(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "integrate_rk4",
+                        lambda rho0, channel, t, steps: seen.append(steps) or rho0)
+    base = ["evolve", "--theta", "pi/4", "--axis", "z", "--time", "1", "--method", "rk4",
+            "--measures", "concurrence"]
+    assert run(capsys, *base)[0] == 0
+    assert run(capsys, *base, "--steps", "7")[0] == 0
+    assert seen == [400, 7]
+    # an explicit zero reaches the integrator, which rejects it
+    monkeypatch.undo()
+    assert main(base + ["--steps", "0"]) == 3
+
+
 def test_computation_errors_exit_3(capsys):
     code = main(["evolve", "--theta", "pi/4", "--axis", "z", "--time", "-2"])
     assert code == 3
     code = main(["sweep", "--thetas", "pi/4", "--times", "nan", "--axes", "z",
                  "--measures", "concurrence,quantum_discord"])
     assert code == 3
-    assert capsys.readouterr().out == ""
+    # rates outside [1e-300, 1e300] would overflow 1/gamma or turn 2 gamma t into NaN
+    assert main(["deathtime", "--theta", "pi/4", "--axis", "z", "--gamma", "1e-320"]) == 3
+    assert main(["sweep", "--thetas", "pi/4", "--times", "0,1", "--gamma", "1e308",
+                 "--axes", "z"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("gamma must be in [1e-300, 1e+300]") == 2
 
 
 def test_sweep_at_infinite_time_is_the_mu_zero_limit(capsys):

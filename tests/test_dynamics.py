@@ -240,10 +240,28 @@ def test_death_time_never_certifies_without_a_finite_death():
 
 
 def test_death_time_gamma_scaling():
+    # every length in the search scales with 1/gamma, so the relative accuracy
+    # holds from slow to extreme rates
     p = make_params(math.pi / 4)
     t1 = death_time(p, ChannelSpec(axis="z", gamma=1.0)).time
     t2 = death_time(p, ChannelSpec(axis="z", gamma=2.0)).time
     assert t2 == pytest.approx(t1 / 2.0, rel=1e-6)
+    for theta in ESD_ANGLES:
+        p = make_params(theta)
+        for axis in "xz":
+            for qubit in "AB":
+                unit = {m: death_time(p, ChannelSpec(axis, 1.0, qubit), m).time
+                        for m in ("geometric_discord", "quantum_discord")}
+                for gamma in (1e-3, 2.0, 1e4, 1e5, 1e9, 1e300):
+                    ch = ChannelSpec(axis, gamma, qubit)
+                    res = death_time(p, ch)
+                    assert res.kind == "esd", (theta, axis, qubit, gamma)
+                    assert res.time == pytest.approx(closed_death_time(p, ch), rel=1e-9)
+                    for measure, time in unit.items():
+                        half = death_time(p, ch, measure)
+                        assert half.kind == "half_life"
+                        assert half.time == pytest.approx(time / gamma, rel=1e-9), (
+                            theta, axis, qubit, gamma, measure)
 
 
 def test_half_life_of_geometric_discord_under_y():

@@ -23,6 +23,7 @@ from qcorr.linalg import (
 from qcorr import measures
 from qcorr.measures import (
     MAX_GRID_POINTS,
+    MeasureResult,
     OptimizerSettings,
     _conditional_entropy,
     _fibonacci_sphere,
@@ -30,14 +31,12 @@ from qcorr.measures import (
     _optimize,
     _wootters_scores,
     classical_correlation,
-    classical_correlation_closed,
     closed_values,
     concurrence,
     concurrence_closed,
     geometric_discord,
     geometric_discord_closed,
     mutual_information,
-    mutual_information_closed,
     optimal_conditional_entropy,
     oracle_values,
     quantum_discord,
@@ -191,7 +190,8 @@ def test_mutual_information_known_values():
     product = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
     assert mutual_information(product).value == pytest.approx(0.0, abs=1e-12)
     p = make_params(math.pi / 4)
-    assert mutual_information_closed(p).value == pytest.approx(1.188721875540867, abs=1e-13)
+    assert closed_values(p, None, 0.0, ("mutual_information",))["mutual_information"] == \
+        pytest.approx(1.188721875540867, abs=1e-13)
     assert mutual_information(initial_state(p)).value == pytest.approx(
         1.188721875540867, abs=1e-10
     )
@@ -243,10 +243,12 @@ def test_measured_side_is_irrelevant_for_this_family():
 
 def test_classical_correlation_spot_values():
     p = make_params(math.pi / 4)
-    assert classical_correlation_closed(p).value == pytest.approx(1.0, abs=1e-12)
+    assert closed_values(p, None, 0.0, ("classical_correlation",))["classical_correlation"] == \
+        pytest.approx(1.0, abs=1e-12)
     assert classical_correlation(initial_state(p)).value == pytest.approx(1.0, abs=1e-7)
     t = 0.5
-    got = classical_correlation_closed(p, ChannelSpec(axis="z"), t).value
+    got = closed_values(p, ChannelSpec(axis="z"), t, ("classical_correlation",))[
+        "classical_correlation"]
     assert got == pytest.approx(1.0 - 0.8112781244591328, abs=1e-13)
 
 
@@ -255,7 +257,8 @@ def test_classical_correlation_survives_y_noise_untouched():
     p = make_params(math.pi / 4)
     ch = ChannelSpec(axis="y")
     for t in (0.3, 0.5, 1.2):
-        assert classical_correlation_closed(p, ch, t).value == pytest.approx(1.0, abs=1e-12)
+        got = closed_values(p, ch, t, ("classical_correlation",))["classical_correlation"]
+        assert got == pytest.approx(1.0, abs=1e-12)
         rho = kraus_apply(initial_state(p), ch, t)
         assert classical_correlation(rho).value == pytest.approx(1.0, abs=1e-7)
 
@@ -813,15 +816,22 @@ def _ref_optimal_entropy(params, channel, t):
     return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
 
 
+def _one_closed(name):
+    """The scalar wrapper a closed measure without one would have."""
+    return lambda p, ch, t: MeasureResult(
+        float(closed_values(p, ch, t, (name,))[name]), "closed_form"
+    )
+
+
 _REFERENCE_CLOSED = {
     "concurrence": (concurrence_closed, _ref_concurrence),
     "geometric_discord": (geometric_discord_closed, _ref_geometric_discord),
     "mutual_information": (
-        mutual_information_closed,
+        _one_closed("mutual_information"),
         lambda p, ch, t: 2.0 - _ref_spectrum_entropy(p, ch, t),
     ),
     "classical_correlation": (
-        classical_correlation_closed,
+        _one_closed("classical_correlation"),
         lambda p, ch, t: 1.0 - _ref_optimal_entropy(p, ch, t),
     ),
     "quantum_discord": (
