@@ -104,17 +104,30 @@ def apply_pauli_channel(rho: np.ndarray, axis: str, mu: float, qubit: str = "B")
     """
     if not -1.0 <= mu <= 1.0:
         raise ValueError(f"mu must lie in [-1, 1], got {mu}")
+    return _mix(rho, jump_operator(ChannelSpec(axis=axis, qubit=qubit)), np.asarray(mu))
+
+
+def _mix(rho: np.ndarray, L: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """(1+mu)/2 rho + (1-mu)/2 L rho L† for every mu, shape mu.shape + (4, 4);
+    L rho L† is formed once."""
     rho = np.asarray(rho, dtype=complex)
-    L = jump_operator(ChannelSpec(axis=axis, qubit=qubit))
-    p_plus = (1.0 + mu) / 2.0
-    p_minus = (1.0 - mu) / 2.0
-    return p_plus * rho + p_minus * (L @ rho @ dag(L))
+    flipped = L @ rho @ dag(L)
+    p_plus = ((1.0 + mu) / 2.0)[..., None, None]
+    p_minus = ((1.0 - mu) / 2.0)[..., None, None]
+    return p_plus * rho + p_minus * flipped
 
 
-def kraus_apply(rho: np.ndarray, channel: ChannelSpec, t: float) -> np.ndarray:
-    """Exact channel action at time t via the two-element Kraus mixture."""
-    mu = decay_factor(channel, t)
-    return apply_pauli_channel(rho, channel.axis, mu, channel.qubit)
+def kraus_apply(
+    rho: np.ndarray, channel: ChannelSpec, t: float | Sequence[float]
+) -> np.ndarray:
+    """Exact channel action via the two-element Kraus mixture, at one time
+    or at every time in t: shape T + (4, 4) for times of shape T (a single
+    4x4 for a scalar t).  L rho L† is formed once for all times, and each
+    time gives exactly the state a scalar call gives.  A negative or NaN
+    time raises ValueError."""
+    times = np.asarray(t, dtype=float)
+    mu = np.array([decay_factor(channel, x) for x in times.ravel().tolist()])
+    return _mix(rho, jump_operator(channel), mu.reshape(times.shape))
 
 
 # the components of c that a Pauli channel along each axis scales by mu

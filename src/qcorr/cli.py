@@ -41,6 +41,7 @@ MAX_TIME_POINTS = 100_000
 MAX_SWEEP_POINTS = 1_000_000
 # most steps evolve --steps may ask for (about 1.7 s of rk4)
 MAX_RK4_STEPS = 1_000_000
+DEFAULT_RK4_STEPS = 400
 
 # [sign] [coefficient, with an optional exponent] [*] pi [/ denominator]
 _PI_TOKEN = re.compile(
@@ -230,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_evolve.add_argument("--method", choices=("kraus", "analytic", "rk4"), default="kraus",
                           help="evolution route (default kraus)")
     p_evolve.add_argument("--steps", type=int, metavar="N",
-                          help=f"step count for --method rk4 only (default 400,"
-                          f" at most {MAX_RK4_STEPS})")
+                          help=f"step count for --method rk4 only (default"
+                          f" {DEFAULT_RK4_STEPS}, at least gamma*t, at most {MAX_RK4_STEPS})")
     p_evolve.add_argument("--check", action="store_true",
                           help="append a cross-method deviation footer (exit 1 if over tolerance)")
     p_evolve.add_argument("--measures", type=_measure_list,
@@ -301,8 +302,7 @@ def _cmd_evolve(args: argparse.Namespace, out: TextIO) -> int:
     elif args.method == "analytic":
         rho = analytic_evolve(params, channel, args.time)
     else:
-        steps = 400 if args.steps is None else args.steps
-        rho = integrate_rk4(rho0, channel, args.time, steps=steps)
+        rho = integrate_rk4(rho0, channel, args.time, steps=args.steps)
     check = None
     if args.check:
         # rk4 is checked against the exact map; the two exact routes against
@@ -444,6 +444,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error(f"--steps applies to --method rk4 only, not {args.method}")
         if args.steps > MAX_RK4_STEPS:
             parser.error(f"--steps must be at most {MAX_RK4_STEPS}")
+    if args.command == "evolve" and args.method == "rk4":
+        if args.steps is None:
+            args.steps = DEFAULT_RK4_STEPS
+        # a step of more than one decay time nears the edge of RK4's
+        # stability (2 gamma h = 2.785), where the decaying modes stop
+        # decaying; the integrator itself rejects a count below 1 (exit 3),
+        # and a NaN gamma*t fails the comparison
+        gamma_t = args.gamma * args.time
+        if args.steps >= 1 and not args.steps >= gamma_t:
+            parser.error(f"--method rk4 needs --steps >= gamma*t = {gamma_t:g}"
+                         f" (at most one decay time per step), got {args.steps}")
     if args.command == "sweep":
         has_range = args.tmax is not None or args.tsteps is not None
         if args.times is not None and has_range:
@@ -451,8 +462,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.times is None:
             if args.tmax is None or args.tsteps is None:
                 parser.error("sweep needs --times, or both --tmax and --tsteps")
-            if args.tmax <= 0.0 or args.tsteps < 2:
-                parser.error("--tmax must be > 0 and --tsteps >= 2")
+            if not (0.0 < args.tmax < math.inf) or args.tsteps < 2:
+                parser.error("--tmax must be finite and > 0, and --tsteps >= 2")
             if args.tsteps > MAX_TIME_POINTS:
                 parser.error(f"--tsteps must be at most {MAX_TIME_POINTS}")
             args.times = [args.tmax * k / (args.tsteps - 1) for k in range(args.tsteps)]

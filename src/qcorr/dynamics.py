@@ -69,6 +69,10 @@ _CERTIFY_MARGIN = -1e-6
 # the scaled certification margin is never closer to zero than this, far
 # above the rounding of the spin-flip score, so numerical zero never certifies
 _MARGIN_FLOOR = -1e-13
+# bisection steps per evaluation call: a spin-flip score costs about 11 us
+# per extra state in a stack, while extra closed-form points are nearly free
+_SCORE_TREE_DEPTH = 3
+_CLOSED_TREE_DEPTH = 6
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +151,10 @@ def sweep(
 ) -> SweepTable:
     """Evaluate closed-form measures (and optionally the oracles) over the
     grid.  The closed forms take one array evaluation per channel over the
-    whole (theta, time) grid.  With oracles, each (channel, theta, time)
-    state is evolved once into one stack, and one oracle_values call reads
-    every measure from it, the two entropic measures from one optimizer
-    run."""
+    whole (theta, time) grid.  With oracles, one kraus_apply call per
+    (channel, theta) evolves the start to every time, the states form one
+    stack, and one oracle_values call reads every measure from it, the two
+    entropic measures from one optimizer run."""
     channels = [ChannelSpec(axis=axis, gamma=gamma, qubit=noisy_qubit) for axis in axes]
     params = [make_params(theta) for theta in grid.thetas]
     shape = (len(measures), len(channels), len(params), len(grid.times))
@@ -165,8 +169,7 @@ def sweep(
     if include_oracle:
         initial = [initial_state(p) for p in params]
         states = np.array([
-            kraus_apply(rho0, channel, t)
-            for channel in channels for rho0 in initial for t in grid.times
+            kraus_apply(rho0, channel, grid.times) for channel in channels for rho0 in initial
         ]).reshape(shape[1:] + (4, 4))
         values = oracle_values(states.reshape(-1, 4, 4), measures, optimizer)
         oracle = np.array([values[name] for name in measures]).reshape(shape)
@@ -230,17 +233,20 @@ def death_time(
     Concurrence uses the signed spin-flip score of the independently evolved
     state, bracketing by doubling from t = 1/gamma and bisecting to a width
     of 1e-10 decay times (1e-10 t for roots t past 1/gamma), so the relative
-    accuracy does not depend on gamma.  Both
-    thresholds scale with s = 1 - score(0), which is 2 (chi2 + chi3 + chi4)
-    at t = 0 and 4 eta on the family, the depth the score sinks to past a
-    death: the search looks for the score falling to 1e-12 s, and the root is
-    certified as a finite death only if the score one decay time past it is
-    at or below min(-1e-6 s, -1e-13).  The fixed floor keeps a score that is
-    zero to rounding (theta = 0 or pi) from certifying.  The discords never
-    reach zero at finite time under these channels, so for them the result
-    is the half-life of the closed form instead, found by the same doubling
-    and bisection.  Every positive start has one, however small; a discord
-    that starts at exactly zero (theta = pi/2) gets "none".
+    accuracy does not depend on gamma.  The doubling times are scored in one
+    stacked call and the bisection three steps per call (see _crossing),
+    with the results of a one-point-at-a-time search.  Both thresholds scale
+    with s = 1 - score(0), which is 2 (chi2 + chi3 + chi4) at t = 0 and
+    4 eta on the family, the depth the score sinks to past a death: the
+    search looks for the score falling to 1e-12 s, and the root is certified
+    as a finite death only if the score one decay time past it is at or
+    below min(-1e-6 s, -1e-13).  The fixed floor keeps a score that is zero
+    to rounding (theta = 0 or pi) from certifying.  The discords never reach
+    zero at finite time under these channels, so for them the result is the
+    half-life of the closed form instead, found by the same doubling and
+    bisection, six steps per closed_values call.  Every positive start has
+    one, however small; a discord that starts at exactly zero (theta = pi/2)
+    gets "none".
     """
     if measure == "concurrence":
         return _concurrence_death(params, channel)
@@ -252,29 +258,62 @@ def death_time(
     )
 
 
+def _ladder(gamma: float) -> np.ndarray:
+    """t = 0 and the doubling times 2^k / gamma up to gamma t = 50: the
+    points a crossing search brackets on, evaluated in one call."""
+    times = [0.0]
+    t, t_cap = 1.0 / gamma, _GAMMA_T_CAP / gamma
+    while t <= t_cap:
+        times.append(t)
+        t *= 2.0
+    return np.array(times)
+
+
 def _crossing(
-    f: Callable[[float], float], gamma: float
+    f: Callable[[np.ndarray], np.ndarray], ladder: np.ndarray, values: np.ndarray, depth: int
 ) -> Optional[tuple[float, tuple[float, float], int]]:
-    """Bracket the first sign change of f by doubling from t = 1/gamma (None
-    if f stays positive up to gamma t = 50), then bisect until the bracket
-    is at most 1e-10 max(1/gamma, hi) wide: 1e-10 decay times, or 1e-10
-    relative for later roots.  Returns (midpoint, bracket, bisections)."""
-    decay_time = 1.0 / gamma
-    lo, hi = 0.0, decay_time
-    t_cap = _GAMMA_T_CAP / gamma
-    while f(hi) > 0.0:
-        lo = hi
-        hi *= 2.0
-        if hi > t_cap:
-            return None
+    """Bracket the first sign change of f between doubling times (values =
+    f(ladder); None if f stays positive up to gamma t = 50), then bisect
+    until the bracket is at most 1e-10 max(1/gamma, hi) wide: 1e-10 decay
+    times, or 1e-10 relative for later roots.  Returns (midpoint, bracket,
+    bisections).
+
+    f maps an array of times to an array of values, and each call to it
+    covers `depth` bisection steps: the 2^depth - 1 midpoints the next steps
+    may visit, formed as the sequential search forms them.  The walk down
+    that tree then takes the steps one by one under the same stop rule, so
+    the result is the sequential bisection's to the last bit.  The last tree
+    is trimmed to the steps still needed."""
+    first = next((k for k in range(1, len(ladder)) if not values[k] > 0.0), None)
+    if first is None:
+        return None
+    decay_time = float(ladder[1])
+    lo, hi = float(ladder[first - 1]), float(ladder[first])
     iterations = 0
-    while (hi - lo) > 1e-10 * max(decay_time, hi) and iterations <= 200:
-        mid = 0.5 * (lo + hi)
-        iterations += 1
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+
+    def bisecting() -> bool:
+        return (hi - lo) > 1e-10 * max(decay_time, hi) and iterations <= 200
+
+    while bisecting():
+        # the width halves each step, and the stop width is at least
+        # 1e-10 max(1/gamma, lo)
+        stop, steps = 1e-10 * max(decay_time, lo), 1
+        while steps < depth and (hi - lo) * 0.5 ** steps > stop:
+            steps += 1
+        bounds, mids = [(lo, hi)], []
+        for node in range(2 ** steps - 1):
+            a, b = bounds[node]
+            mid = 0.5 * (a + b)
+            mids.append(mid)
+            bounds += [(a, mid), (mid, b)]
+        positive = f(np.array(mids)) > 0.0
+        node = 0
+        while node < len(mids) and bisecting():
+            iterations += 1
+            if positive[node]:
+                lo, node = mids[node], 2 * node + 2
+            else:
+                hi, node = mids[node], 2 * node + 1
     return 0.5 * (lo + hi), (lo, hi), iterations
 
 
@@ -282,27 +321,30 @@ def _concurrence_death(params: StateParams, channel: ChannelSpec) -> DeathTimeRe
     result = functools.partial(DeathTimeResult, closed_form_time=closed_death_time(params, channel))
     rho0 = initial_state(params)
 
-    def score(t: float) -> float:
+    def scores(times: np.ndarray) -> np.ndarray:
         # initial_state validated rho0, and the Kraus map keeps it a state
-        return float(_wootters_scores(kraus_apply(rho0, channel, t)[None])[0])
+        return _wootters_scores(kraus_apply(rho0, channel, times))
 
-    initial = score(0.0)
+    ladder = _ladder(channel.gamma)
+    ladder_scores = scores(ladder)
+    initial = float(ladder_scores[0])
     scale = 1.0 - initial
     threshold = _SCORE_THRESHOLD * scale
     margin = min(_CERTIFY_MARGIN * scale, _MARGIN_FLOOR)
     if initial <= threshold:
-        if score(1.0 / channel.gamma) <= margin:
+        if ladder_scores[1] <= margin:
             return result("esd", 0.0, (0.0, 0.0), 0,
                           diagnostic="concurrence is zero already at t = 0")
         return result("none", None, None, 0,
                       diagnostic="concurrence starts at zero and never turns decisively negative")
 
-    crossing = _crossing(lambda t: score(t) - threshold, channel.gamma)
+    crossing = _crossing(lambda t: scores(t) - threshold, ladder, ladder_scores - threshold,
+                         _SCORE_TREE_DEPTH)
     if crossing is None:
         return result("none", None, None, 0,
                       diagnostic=f"no sign change up to gamma t = {_GAMMA_T_CAP:g}")
     root, bracket, iterations = crossing
-    post = score(root + 1.0 / channel.gamma)
+    post = float(scores(np.array([root + 1.0 / channel.gamma]))[0])
     if post <= margin:
         return result("esd", root, bracket, iterations,
                       diagnostic=f"score {post:.3e} one decay time past the root")
@@ -318,15 +360,18 @@ def _concurrence_death(params: StateParams, channel: ChannelSpec) -> DeathTimeRe
 def _half_life(params: StateParams, channel: ChannelSpec, measure: str) -> DeathTimeResult:
     result = functools.partial(DeathTimeResult, closed_form_time=None)
 
-    def closed(t: float) -> float:
-        return float(closed_values(params, channel, t, (measure,))[measure])
+    def closed(times: np.ndarray) -> np.ndarray:
+        return closed_values(params, channel, times, (measure,))[measure]
 
-    initial = closed(0.0)
+    ladder = _ladder(channel.gamma)
+    ladder_values = closed(ladder)
+    initial = float(ladder_values[0])
     if initial <= 0.0:
         return result("none", None, None, 0,
                       diagnostic=f"{measure} starts at {initial:.3e}; no half-life")
     target = 0.5 * initial
-    crossing = _crossing(lambda t: closed(t) - target, channel.gamma)
+    crossing = _crossing(lambda t: closed(t) - target, ladder, ladder_values - target,
+                         _CLOSED_TREE_DEPTH)
     if crossing is None:
         return result("none", None, None, 0,
                       diagnostic=f"{measure} has not halved by gamma t = {_GAMMA_T_CAP:g}")
@@ -514,7 +559,7 @@ def verify_suite(quick: bool = False, optimizer: OptimizerSettings | None = None
     )
 
     rho_y = initial_state(make_params(math.pi / 3))
-    y_states = np.array([kraus_apply(rho_y, channels["y"], 0.5 * k) for k in range(1, 11)])
+    y_states = kraus_apply(rho_y, channels["y"], [0.5 * k for k in range(1, 11)])
     y_floor = float(oracle_values(y_states, ("concurrence",))["concurrence"].min())
     checks.append(
         VerifyCheck(

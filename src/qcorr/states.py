@@ -11,6 +11,7 @@ exactly.  It is an X state with maximally mixed marginals for every theta.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,12 +161,20 @@ def state_to_json(rho: np.ndarray) -> dict:
 
 
 def state_from_json(data: dict) -> np.ndarray:
-    """Inverse of state_to_json (validates the result as a density matrix)."""
+    """Inverse of state_to_json (validates the result as a density matrix).
+    Any malformed payload raises ValueError."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
     dim = data.get("dim")
     if dim != 4:
         raise ValueError(f"expected dim 4, got {dim!r}")
-    re = np.asarray(data["re"], dtype=float)
-    im = np.asarray(data["im"], dtype=float)
+    if "re" not in data or "im" not in data:
+        raise ValueError("payload needs both 're' and 'im' entries")
+    try:
+        re = np.asarray(data["re"], dtype=float)
+        im = np.asarray(data["im"], dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"re and im must hold numbers: {exc}") from None
     if re.size != 16 or im.size != 16:
         raise ValueError("re and im must each hold 16 entries")
     rho = (re + 1j * im).reshape(4, 4)

@@ -106,6 +106,30 @@ def test_kraus_apply_matches_reference_mixture():
         np.testing.assert_allclose(got, reference_mixture(rho, axis, gamma, t), atol=1e-15)
 
 
+def test_kraus_apply_over_times_stacks_the_scalar_calls():
+    rng = np.random.default_rng(31)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    full_rank = a @ a.conj().T / np.trace(a @ a.conj().T).real
+    times = [0.0, 1e-12, 0.3, 1.0, 7.5, 40.0, 1e3]
+    for rho in (initial_state(0.9), full_rank):
+        for axis in "xyz":
+            for qubit in "AB":
+                ch = ChannelSpec(axis=axis, gamma=2.5, qubit=qubit)
+                stacked = kraus_apply(rho, ch, times)
+                assert stacked.shape == (len(times), 4, 4)
+                want = np.array([kraus_apply(rho, ch, t) for t in times])
+                assert stacked.tobytes() == want.tobytes()
+                grid = kraus_apply(rho, ch, np.reshape(times[:6], (2, 3)))
+                assert grid.tobytes() == want[:6].tobytes() and grid.shape == (2, 3, 4, 4)
+    assert kraus_apply(full_rank, ChannelSpec("x"), 0.4).shape == (4, 4)
+
+
+@pytest.mark.parametrize("bad", [-1e-3, math.nan, [0.5, -1.0], [math.nan]])
+def test_kraus_apply_rejects_negative_or_nan_times(bad):
+    with pytest.raises(ValueError):
+        kraus_apply(initial_state(0.9), ChannelSpec(axis="z"), bad)
+
+
 def test_noise_on_either_qubit_agrees_on_this_family():
     # the family is symmetric under swapping the qubits, so which one the
     # noise hits cannot matter

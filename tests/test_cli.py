@@ -326,6 +326,39 @@ def test_rk4_step_count_is_bounded_before_anything_runs(capsys, monkeypatch):
     assert f"at most {MAX_RK4_STEPS}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("time, gamma, steps", [
+    ("557", "1", None),  # 2 gamma h = 2.785, where the RK4 factor reaches 1
+    ("1e300", "1", None),
+    ("nan", "1", None),
+    ("2", "3", "5"),
+])
+def test_rk4_steps_cover_every_decay_time_before_anything_runs(capsys, monkeypatch, time,
+                                                                gamma, steps):
+    monkeypatch.setattr(cli, "integrate_rk4", lambda *args, **kwargs: pytest.fail("integrated"))
+    argv = ["evolve", "--theta", "pi/4", "--axis", "x", "--time", time, "--gamma", gamma,
+            "--method", "rk4"]
+    with pytest.raises(SystemExit) as err:
+        main(argv + ([] if steps is None else ["--steps", steps]))
+    assert err.value.code == 2
+    assert "--steps >= gamma*t" in capsys.readouterr().err
+
+
+def test_rk4_at_one_step_per_decay_time_still_runs(capsys):
+    code, out = run(capsys, "evolve", "--theta", "pi/4", "--axis", "x", "--time", "6",
+                    "--gamma", "2", "--method", "rk4", "--steps", "12", "--json",
+                    "--measures", "concurrence")
+    assert code == 0
+    assert json.loads(out)["measures"]["concurrence"]["oracle"] == 0.0
+
+
+@pytest.mark.parametrize("tmax", ["nan", "inf", "0", "-1"])
+def test_sweep_tmax_must_be_finite_and_positive(capsys, tmax):
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", "--thetas", "pi/4", "--tmax", tmax, "--tsteps", "3"])
+    assert err.value.code == 2
+    assert "--tmax must be finite and > 0" in capsys.readouterr().err
+
+
 def test_sweep_grid_size_is_bounded_before_anything_runs(capsys, monkeypatch):
     monkeypatch.setattr(cli, "sweep", lambda *args, **kwargs: pytest.fail("evaluated"))
     thetas = ",".join(str(0.1 * k) for k in range(1, 12))

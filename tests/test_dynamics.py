@@ -8,6 +8,7 @@ from qcorr import dynamics
 from qcorr.channels import ChannelSpec, analytic_evolve, kraus_apply
 from qcorr.dynamics import (
     MEASURE_NAMES,
+    DeathTimeResult,
     SweepGrid,
     _verify_grid,
     closed_death_time,
@@ -17,6 +18,8 @@ from qcorr.dynamics import (
     verify_suite,
 )
 from qcorr.measures import (
+    _wootters_scores,
+    closed_values,
     concurrence,
     concurrence_closed,
     geometric_discord,
@@ -312,6 +315,107 @@ def test_half_life_for_a_tiny_but_positive_start(offset, measure):
 def test_death_time_rejects_unknown_measure():
     with pytest.raises(ValueError):
         death_time(make_params(1.0), ChannelSpec(axis="z"), measure="entropy")
+
+
+def sequential_death_time(params, channel, measure):
+    """The plain search death_time must reproduce bit for bit: doubling from
+    t = 1/gamma, then bisection to a width of 1e-10 max(1/gamma, hi), with
+    one score or one closed_values call per time."""
+    decay_time = 1.0 / channel.gamma
+
+    def search(f):
+        lo, hi = 0.0, decay_time
+        while f(hi) > 0.0:
+            lo, hi = hi, 2.0 * hi
+            if hi > dynamics._GAMMA_T_CAP / channel.gamma:
+                return None
+        iterations = 0
+        while (hi - lo) > 1e-10 * max(decay_time, hi) and iterations <= 200:
+            mid = 0.5 * (lo + hi)
+            iterations += 1
+            if f(mid) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi), (lo, hi), iterations
+
+    cap = f"{dynamics._GAMMA_T_CAP:g}"
+    if measure != "concurrence":
+        def closed(t):
+            return float(closed_values(params, channel, t, (measure,))[measure])
+
+        initial = closed(0.0)
+        if initial <= 0.0:
+            return DeathTimeResult("none", None, None, 0, None,
+                                   f"{measure} starts at {initial:.3e}; no half-life")
+        target = 0.5 * initial
+        found = search(lambda t: closed(t) - target)
+        if found is None:
+            return DeathTimeResult("none", None, None, 0, None,
+                                   f"{measure} has not halved by gamma t = {cap}")
+        return DeathTimeResult("half_life", found[0], found[1], found[2], None,
+                               f"{measure} falls to {target:.6g} (half its initial value)")
+
+    closed_time = closed_death_time(params, channel)
+    rho0 = initial_state(params)
+
+    def score(t):
+        return float(_wootters_scores(kraus_apply(rho0, channel, t)[None])[0])
+
+    initial = score(0.0)
+    scale = 1.0 - initial
+    threshold = dynamics._SCORE_THRESHOLD * scale
+    margin = min(dynamics._CERTIFY_MARGIN * scale, dynamics._MARGIN_FLOOR)
+    if initial <= threshold:
+        if score(decay_time) <= margin:
+            return DeathTimeResult("esd", 0.0, (0.0, 0.0), 0, closed_time,
+                                   "concurrence is zero already at t = 0")
+        return DeathTimeResult("none", None, None, 0, closed_time,
+                               "concurrence starts at zero and never turns decisively negative")
+    found = search(lambda t: score(t) - threshold)
+    if found is None:
+        return DeathTimeResult("none", None, None, 0, closed_time,
+                               f"no sign change up to gamma t = {cap}")
+    root, bracket, iterations = found
+    post = score(root + decay_time)
+    if post <= margin:
+        return DeathTimeResult("esd", root, bracket, iterations, closed_time,
+                               f"score {post:.3e} one decay time past the root")
+    return DeathTimeResult(
+        "asymptotic", None, bracket, iterations, closed_time,
+        f"crossing near t = {root:.6g} not certified (score {post:.3e} stays above {margin:.3g})",
+    )
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1e4, 1e300])
+def test_death_time_is_the_sequential_search_to_the_bit(gamma):
+    kinds = set()
+    for k in range(16):
+        params = make_params(k * math.pi / 15)
+        for axis in "xyz":
+            for qubit in "AB":
+                channel = ChannelSpec(axis=axis, gamma=gamma, qubit=qubit)
+                for measure in ("concurrence", "geometric_discord", "quantum_discord"):
+                    got = death_time(params, channel, measure)
+                    want = sequential_death_time(params, channel, measure)
+                    # repr tells apart every float bit pattern and float from np.float64
+                    assert repr(got) == repr(want), (k, axis, qubit, measure)
+                    kinds.add(got.kind)
+    assert kinds == {"esd", "asymptotic", "half_life"}
+
+
+def test_death_time_stacks_its_evaluations(monkeypatch):
+    calls = []
+    for name in ("kraus_apply", "closed_values"):
+        original = getattr(dynamics, name)
+        monkeypatch.setattr(dynamics, name, lambda *a, f=original, n=name: calls.append(n) or f(*a))
+    params = make_params(math.pi / 4)
+    for axis in "xyz":
+        for measure, most in (("concurrence", 16), ("geometric_discord", 8),
+                              ("quantum_discord", 8)):
+            calls.clear()
+            death_time(params, ChannelSpec(axis=axis), measure)
+            assert 0 < len(calls) <= most, (axis, measure, len(calls))
 
 
 def test_closed_death_time_forms_agree():

@@ -150,3 +150,15 @@ def test_json_rejects_invalid_payload():
     payload["re"][0] += 0.2  # breaks the trace
     with pytest.raises(InvalidStateError):
         state_from_json(payload)
+
+
+@pytest.mark.parametrize("payload", [
+    {"dim": 4},
+    {"dim": 4, "re": [0.0] * 16},
+    [],
+    None,
+    {"dim": 4, "re": [{}] * 16, "im": [0.0] * 16},
+])
+def test_json_malformed_payload_raises_value_error(payload):
+    with pytest.raises(ValueError, match="JSON object|'re' and 'im'|must hold numbers"):
+        state_from_json(payload)
