@@ -99,8 +99,8 @@ def apply_pauli_channel(rho: np.ndarray, axis: str, mu: float, qubit: str = "B")
     """Apply the channel at a given decay scalar mu = exp(-2 gamma t).
 
     rho(t) = (1+mu)/2 rho + (1-mu)/2 (sigma-on-qubit) rho (sigma-on-qubit).
-    Exposed separately from kraus_apply so that the mu -> 0 limit (t -> inf)
-    is reachable directly.
+    It takes mu directly, with no rate or time (kraus_apply at t = inf gives
+    the same mu = 0 limit bit for bit); verify's fixed-point check uses it.
     """
     if not -1.0 <= mu <= 1.0:
         raise ValueError(f"mu must lie in [-1, 1], got {mu}")
@@ -204,12 +204,12 @@ def integrate_rk4(rho0: np.ndarray, channel: ChannelSpec, t: float, steps: int) 
     once and applied steps times.  The output is re-Hermitized by
     (M + M†)/2 at the end.  With 1000 steps over gamma t <= 3 the result
     matches the exact Kraus map within 1e-8 entrywise (in practice far
-    better).
+    better).  A negative, infinite or NaN t raises ValueError.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and non-negative, got {t}")
     rho = np.asarray(rho0, dtype=complex).copy()
     if t == 0:
         return rho

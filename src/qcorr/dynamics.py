@@ -36,7 +36,6 @@ from .measures import (
     concurrence,
     oracle_values,
     quantum_discord,
-    quantum_discord_closed,
     quantum_discord_xz_expanded,
     quantum_discord_y_expanded,
     uncorrected_x_concurrence,
@@ -233,9 +232,11 @@ def death_time(
     Concurrence uses the signed spin-flip score of the independently evolved
     state, bracketing by doubling from t = 1/gamma and bisecting to a width
     of 1e-10 decay times (1e-10 t for roots t past 1/gamma), so the relative
-    accuracy does not depend on gamma.  The doubling times are scored in one
-    stacked call and the bisection three steps per call (see _crossing),
-    with the results of a one-point-at-a-time search.  Both thresholds scale
+    accuracy does not depend on gamma.  The search is the plain doubling
+    and bisection loop (see _crossing); it reads each score from a table
+    that one stacked call fills with the doubling times and each further
+    call with the midpoints of the next three bisection steps, so it gives
+    the results of scoring one time per call.  Both thresholds scale
     with s = 1 - score(0), which is 2 (chi2 + chi3 + chi4) at t = 0 and
     4 eta on the family, the depth the score sinks to past a death: the
     search looks for the score falling to 1e-12 s, and the root is certified
@@ -258,62 +259,60 @@ def death_time(
     )
 
 
-def _ladder(gamma: float) -> np.ndarray:
-    """t = 0 and the doubling times 2^k / gamma up to gamma t = 50: the
-    points a crossing search brackets on, evaluated in one call."""
+def _ladder(g: Callable[[np.ndarray], np.ndarray], gamma: float) -> dict[float, float]:
+    """The table a crossing search reads: g at t = 0 and at the doubling
+    times 2^k / gamma up to gamma t = 50, from one call to g (which maps an
+    array of times to an array of values)."""
     times = [0.0]
     t, t_cap = 1.0 / gamma, _GAMMA_T_CAP / gamma
     while t <= t_cap:
         times.append(t)
         t *= 2.0
-    return np.array(times)
+    return dict(zip(times, g(np.array(times)).tolist()))
 
 
 def _crossing(
-    f: Callable[[np.ndarray], np.ndarray], ladder: np.ndarray, values: np.ndarray, depth: int
+    g: Callable[[np.ndarray], np.ndarray], known: dict[float, float], gamma: float,
+    target: float, depth: int
 ) -> Optional[tuple[float, tuple[float, float], int]]:
-    """Bracket the first sign change of f between doubling times (values =
-    f(ladder); None if f stays positive up to gamma t = 50), then bisect
+    """Bracket the first time g falls to target or below by doubling from
+    t = 1/gamma (None if it stays above up to gamma t = 50), then bisect
     until the bracket is at most 1e-10 max(1/gamma, hi) wide: 1e-10 decay
     times, or 1e-10 relative for later roots.  Returns (midpoint, bracket,
     bisections).
 
-    f maps an array of times to an array of values, and each call to it
-    covers `depth` bisection steps: the 2^depth - 1 midpoints the next steps
-    may visit, formed as the sequential search forms them.  The walk down
-    that tree then takes the steps one by one under the same stop rule, so
-    the result is the sequential bisection's to the last bit.  The last tree
-    is trimmed to the steps still needed."""
-    first = next((k for k in range(1, len(ladder)) if not values[k] > 0.0), None)
-    if first is None:
-        return None
-    decay_time = float(ladder[1])
-    lo, hi = float(ladder[first - 1]), float(ladder[first])
+    Every value is read from known, which maps time to value and starts as
+    _ladder(g, gamma).  A midpoint missing from it triggers one g call over
+    the 2^depth - 1 midpoints the next depth steps may visit, formed as the
+    search forms them and trimmed to the steps still needed, so the result
+    is that of one g call per point to the last bit."""
+    decay_time, t_cap = 1.0 / gamma, _GAMMA_T_CAP / gamma
+    lo, hi = 0.0, decay_time
+    while known[hi] > target:
+        lo, hi = hi, 2.0 * hi
+        if hi > t_cap:
+            return None
     iterations = 0
-
-    def bisecting() -> bool:
-        return (hi - lo) > 1e-10 * max(decay_time, hi) and iterations <= 200
-
-    while bisecting():
-        # the width halves each step, and the stop width is at least
-        # 1e-10 max(1/gamma, lo)
-        stop, steps = 1e-10 * max(decay_time, lo), 1
-        while steps < depth and (hi - lo) * 0.5 ** steps > stop:
-            steps += 1
-        bounds, mids = [(lo, hi)], []
-        for node in range(2 ** steps - 1):
-            a, b = bounds[node]
-            mid = 0.5 * (a + b)
-            mids.append(mid)
-            bounds += [(a, mid), (mid, b)]
-        positive = f(np.array(mids)) > 0.0
-        node = 0
-        while node < len(mids) and bisecting():
-            iterations += 1
-            if positive[node]:
-                lo, node = mids[node], 2 * node + 2
-            else:
-                hi, node = mids[node], 2 * node + 1
+    while (hi - lo) > 1e-10 * max(decay_time, hi) and iterations <= 200:
+        mid = 0.5 * (lo + hi)
+        if mid not in known:
+            # the width halves each step, and the stop width is at least
+            # 1e-10 max(1/gamma, lo)
+            stop, steps = 1e-10 * max(decay_time, lo), 1
+            while steps < depth and (hi - lo) * 0.5 ** steps > stop:
+                steps += 1
+            bounds, mids = [(lo, hi)], []
+            for node in range(2 ** steps - 1):
+                a, b = bounds[node]
+                split = 0.5 * (a + b)
+                mids.append(split)
+                bounds += [(a, split), (split, b)]
+            known.update(zip(mids, g(np.array(mids)).tolist()))
+        iterations += 1
+        if known[mid] > target:
+            lo = mid
+        else:
+            hi = mid
     return 0.5 * (lo + hi), (lo, hi), iterations
 
 
@@ -325,21 +324,19 @@ def _concurrence_death(params: StateParams, channel: ChannelSpec) -> DeathTimeRe
         # initial_state validated rho0, and the Kraus map keeps it a state
         return _wootters_scores(kraus_apply(rho0, channel, times))
 
-    ladder = _ladder(channel.gamma)
-    ladder_scores = scores(ladder)
-    initial = float(ladder_scores[0])
+    known = _ladder(scores, channel.gamma)
+    initial = known[0.0]
     scale = 1.0 - initial
     threshold = _SCORE_THRESHOLD * scale
     margin = min(_CERTIFY_MARGIN * scale, _MARGIN_FLOOR)
     if initial <= threshold:
-        if ladder_scores[1] <= margin:
+        if known[1.0 / channel.gamma] <= margin:
             return result("esd", 0.0, (0.0, 0.0), 0,
                           diagnostic="concurrence is zero already at t = 0")
         return result("none", None, None, 0,
                       diagnostic="concurrence starts at zero and never turns decisively negative")
 
-    crossing = _crossing(lambda t: scores(t) - threshold, ladder, ladder_scores - threshold,
-                         _SCORE_TREE_DEPTH)
+    crossing = _crossing(scores, known, channel.gamma, threshold, _SCORE_TREE_DEPTH)
     if crossing is None:
         return result("none", None, None, 0,
                       diagnostic=f"no sign change up to gamma t = {_GAMMA_T_CAP:g}")
@@ -363,15 +360,13 @@ def _half_life(params: StateParams, channel: ChannelSpec, measure: str) -> Death
     def closed(times: np.ndarray) -> np.ndarray:
         return closed_values(params, channel, times, (measure,))[measure]
 
-    ladder = _ladder(channel.gamma)
-    ladder_values = closed(ladder)
-    initial = float(ladder_values[0])
+    known = _ladder(closed, channel.gamma)
+    initial = known[0.0]
     if initial <= 0.0:
         return result("none", None, None, 0,
                       diagnostic=f"{measure} starts at {initial:.3e}; no half-life")
     target = 0.5 * initial
-    crossing = _crossing(lambda t: closed(t) - target, ladder, ladder_values - target,
-                         _CLOSED_TREE_DEPTH)
+    crossing = _crossing(closed, known, channel.gamma, target, _CLOSED_TREE_DEPTH)
     if crossing is None:
         return result("none", None, None, 0,
                       diagnostic=f"{measure} has not halved by gamma t = {_GAMMA_T_CAP:g}")
@@ -445,37 +440,27 @@ def verify_suite(quick: bool = False, optimizer: OptimizerSettings | None = None
     checks.append(_check("evolved_states_keep_x_shape", err_x, 1e-13))
     checks.append(_check("quantum_discord_closed_vs_oracle", err_q, 1e-5))
 
-    # expanded discord formulas against the entropy pipeline
+    # the retained literal discord forms against the closed discord, drawn
+    # point by point and read per axis from the diagonal of one theta x t grid
     rng = np.random.default_rng(20260822)
-    err_e = 0.0
     n_pairs = 50 if quick else 200
-    for _ in range(n_pairs):
-        theta = float(rng.uniform(0.1, math.pi - 0.1))
-        t = float(rng.uniform(0.0, 3.0))
-        params = make_params(theta)
-        axis = "x" if rng.integers(2) else "z"
-        err_e = max(
-            err_e,
-            abs(
-                quantum_discord_xz_expanded(params, channels[axis], t)
-                - quantum_discord_closed(params, channels[axis], t).value
-            ),
-        )
-    checks.append(_check("discord_expanded_form_identity_xz", err_e, 1e-10))
-
-    err_ey = 0.0
-    for _ in range(n_pairs // 2):
-        theta = float(rng.uniform(0.1, math.pi / 2))
-        t = float(rng.uniform(0.0, 3.0))
-        params = make_params(theta)
-        err_ey = max(
-            err_ey,
-            abs(
-                quantum_discord_y_expanded(params, channels["y"], t)
-                - quantum_discord_closed(params, channels["y"], t).value
-            ),
-        )
-    checks.append(_check("discord_expanded_form_identity_y", err_ey, 1e-10))
+    for suffix, form, count, theta_max in (
+        ("xz", quantum_discord_xz_expanded, n_pairs, math.pi - 0.1),
+        ("y", quantum_discord_y_expanded, n_pairs // 2, math.pi / 2),
+    ):
+        draws: dict[str, list[tuple[StateParams, float]]] = {}
+        for _ in range(count):
+            theta = float(rng.uniform(0.1, theta_max))
+            t = float(rng.uniform(0.0, 3.0))
+            axis = "y" if suffix == "y" else "x" if rng.integers(2) else "z"
+            draws.setdefault(axis, []).append((make_params(theta), t))
+        err_e = 0.0
+        for axis, points in draws.items():
+            params, ts = zip(*points)
+            closed = closed_values(params, channels[axis], ts, ("quantum_discord",))
+            for (p, t), value in zip(points, closed["quantum_discord"].diagonal().tolist()):
+                err_e = max(err_e, abs(form(p, channels[axis], t) - value))
+        checks.append(_check(f"discord_expanded_form_identity_{suffix}", err_e, 1e-10))
 
     # death times: the two closed forms, and bisection against them
     esd_angles = (math.pi / 8, math.pi / 4, 3 * math.pi / 8, 5 * math.pi / 8)

@@ -11,6 +11,7 @@ exactly.  It is an X state with maximally mixed marginals for every theta.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -32,6 +33,8 @@ __all__ = [
     "state_from_json",
 ]
 
+# the largest |theta| for which cos(2 theta) has a finite argument
+_THETA_MAX = sys.float_info.max / 2.0
 _BELL_PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 _BELL_PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
@@ -52,12 +55,15 @@ class StateParams:
 def make_params(theta: float) -> StateParams:
     """Build StateParams from an angle in radians.
 
-    Any finite angle is accepted; eta and xi depend on theta only through
-    sin^2 and cos 2*theta, so theta and pi - theta label the same state.
+    Any angle with |theta| <= 8.99e307 (half the largest float, so that
+    2*theta is finite) is accepted; NaN, infinities and larger angles raise
+    ValueError.  eta and xi depend on theta only through sin^2 and
+    cos 2*theta, so theta and pi - theta label the same state.
     """
     theta = float(theta)
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
+    if not abs(theta) <= _THETA_MAX:
+        raise ValueError(
+            f"theta must be finite with |theta| <= {_THETA_MAX!r}, got {theta}")
     eta = math.sin(theta) ** 2 / 4.0
     xi = (3.0 + math.cos(2.0 * theta)) / 8.0
     return StateParams(theta=theta, eta=eta, xi=xi)

@@ -334,8 +334,9 @@ def test_rk4_argument_validation():
     ch = ChannelSpec(axis="x")
     with pytest.raises(ValueError):
         integrate_rk4(rho, ch, 1.0, steps=0)
-    with pytest.raises(ValueError):
-        integrate_rk4(rho, ch, -1.0, steps=10)
+    for t in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            integrate_rk4(rho, ch, t, steps=10)
     out = integrate_rk4(rho, ch, 0.0, steps=5)
     np.testing.assert_array_equal(out, rho)
     assert out is not rho

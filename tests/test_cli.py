@@ -405,6 +405,12 @@ def test_computation_errors_exit_3(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("gamma must be in [1e-300, 1e+300]") == 2
+    # an angle past half the largest float is named, not a bare math domain error
+    assert main(["state", "--theta", "1e308"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "theta must be finite with |theta| <= 8.98846567431" in captured.err
+    assert "got 1e+308" in captured.err
 
 
 def test_sweep_at_infinite_time_is_the_mu_zero_limit(capsys):

@@ -26,6 +26,8 @@ from qcorr.measures import (
     geometric_discord_closed,
     quantum_discord,
     quantum_discord_closed,
+    quantum_discord_xz_expanded,
+    quantum_discord_y_expanded,
 )
 from qcorr.states import initial_state, make_params, x_structure_defect
 
@@ -495,6 +497,34 @@ def test_verify_closed_vs_oracle_errors_match_the_per_point_loops():
     for name in closed_fns:
         assert report[f"{name}_closed_vs_oracle"] == err[name]
     assert report["x_and_z_axes_agree"] == err_xz
+
+
+def test_verify_expanded_form_errors_match_the_per_point_loops():
+    # reference: each retained literal discord form against the scalar
+    # closed discord, one point at a time, with the suite's seed and draws
+    rng = np.random.default_rng(20260822)
+    n_pairs = 50
+    err_xz = 0.0
+    for _ in range(n_pairs):
+        theta = float(rng.uniform(0.1, math.pi - 0.1))
+        t = float(rng.uniform(0.0, 3.0))
+        params = make_params(theta)
+        channel = ChannelSpec(axis="x" if rng.integers(2) else "z")
+        err_xz = max(err_xz, abs(quantum_discord_xz_expanded(params, channel, t)
+                                 - quantum_discord_closed(params, channel, t).value))
+    err_y = 0.0
+    for _ in range(n_pairs // 2):
+        theta = float(rng.uniform(0.1, math.pi / 2))
+        t = float(rng.uniform(0.0, 3.0))
+        params = make_params(theta)
+        channel = ChannelSpec(axis="y")
+        err_y = max(err_y, abs(quantum_discord_y_expanded(params, channel, t)
+                               - quantum_discord_closed(params, channel, t).value))
+
+    report = {c.check_id: c.max_error for c in verify_suite(quick=True).checks}
+    # repr tells a float from an np.float64 of the same value
+    assert repr(report["discord_expanded_form_identity_xz"]) == repr(err_xz)
+    assert repr(report["discord_expanded_form_identity_y"]) == repr(err_y)
 
 
 def test_verify_matrix_checks_read_the_sweep_states():

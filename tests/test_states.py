@@ -41,6 +41,10 @@ def test_params_reject_non_finite():
         make_params(math.nan)
     with pytest.raises(ValueError):
         make_params(math.inf)
+    # past half the largest float, 2 theta overflows inside cos(2 theta)
+    for theta in (1e308, -1e308):
+        with pytest.raises(ValueError, match=r"\|theta\| <= 8\.98846567431\d*e\+307"):
+            make_params(theta)
 
 
 def test_initial_state_is_bell_mixture():
