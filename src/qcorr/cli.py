@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_optimizer(p: argparse.ArgumentParser) -> None:
         p.add_argument("--grid-points", type=int, default=1024, metavar="N",
-                       help="measurement-sphere seed grid size (default 1024)")
+                       help="sphere grid size (default 1024); its z > 0 half seeds the search")
         p.add_argument("--opt-tol", type=float, default=1e-7, metavar="TOL",
                        help="compass-search step in radians at which the optimizer"
                        " refinement stops (default 1e-7)")

@@ -26,6 +26,7 @@ from qcorr.measures import (
     MeasureResult,
     OptimizerSettings,
     _conditional_entropy,
+    _fibonacci_hemisphere,
     _fibonacci_sphere,
     _measurement_frame,
     _optimize,
@@ -458,6 +459,18 @@ def test_bloch_kernel_matches_projector_route_on_evolved_family():
         _assert_kernel_matches_reference(rho)
 
 
+def test_conditional_entropy_is_the_same_along_n_and_minus_n():
+    # (I +- n.sigma)/2 and (I -+ n.sigma)/2 are one measurement: the two
+    # outcome terms swap, and their sum keeps every bit
+    dirs = _fibonacci_sphere(256)
+    for rho in _random_states(20, 2012) + _family_states():
+        for side in "AB":
+            np.testing.assert_array_equal(
+                _stacked_conditional_entropy(rho, -dirs, side),
+                _stacked_conditional_entropy(rho, dirs, side),
+            )
+
+
 def test_bloch_kernel_drops_impossible_outcome():
     # |0><0| on A: measuring A along +-z gives one outcome with p = 0 exactly
     ket_b = np.array([0.6, 0.8j])
@@ -632,6 +645,32 @@ def test_optimizer_finds_the_brute_force_minimum_on_both_sides():
             assert abs(values[i] - reference[i]) <= 1e-12, (side, i)
 
 
+def test_the_smallest_grids_find_the_brute_force_minimum_on_both_sides():
+    # 32 and 33 points seed the search from 16 directions each
+    states = _random_states(50, 1998) + _family_states()
+    for side in "AB":
+        reference = _reference_minima(states, side)
+        for grid_points in (32, 33):
+            settings = OptimizerSettings(grid_points=grid_points)
+            values, _ = _optimize(pauli_coefficients(np.array(states)), side, settings)
+            for i in range(len(states)):
+                assert abs(values[i] - reference[i]) <= 1e-12, (side, grid_points, i)
+
+
+def test_best_direction_follows_the_dominant_correlation_axis():
+    # theta = 0.9, gamma = 1: the discord is frozen along y until the sudden
+    # change at t_sc = ln(1/cos^2 theta)/2 = 0.4754, then decays along the
+    # noise axis on x and z; the direction is pinned only up to its sign
+    t_sc = math.log(1.0 / math.cos(0.9) ** 2) / 2.0
+    expected_after = {"x": 0, "y": 1, "z": 2}
+    for axis in "xyz":
+        for t in (0.0, 0.2, 0.45, 0.5, 0.6, 1.0, 3.0):
+            rho = kraus_apply(initial_state(0.9), ChannelSpec(axis=axis), t)
+            n = quantum_discord(rho).optimizer.best_direction
+            want = 1 if t < t_sc else expected_after[axis]
+            assert np.abs(n).argmax() == want, (axis, t, n)
+
+
 def test_stacked_entropic_oracles_match_the_scalar_route():
     # the six von_neumann_entropy calls per state the stacked kernels replaced
     states = _random_states(50, 1998) + _family_states()
@@ -692,6 +731,16 @@ def test_fibonacci_grid_is_cached_and_read_only():
     assert _fibonacci_sphere(64) is dirs
     assert not dirs.flags.writeable
     np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [32, 33, 1024])
+def test_fibonacci_hemisphere_is_the_cached_read_only_upper_half(n):
+    half = _fibonacci_hemisphere(n)
+    assert _fibonacci_hemisphere(n) is half
+    assert not half.flags.writeable
+    full = _fibonacci_sphere(n)
+    assert len(half) == n // 2
+    np.testing.assert_array_equal(half, full[full[:, 2] > 0.0])
 
 
 @pytest.mark.parametrize(
