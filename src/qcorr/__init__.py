@@ -63,7 +63,6 @@ from .states import (
     BlochForm,
     InvalidStateError,
     StateParams,
-    bloch_compose,
     bloch_decompose,
     initial_state,
     make_params,
@@ -84,7 +83,6 @@ __all__ = [
     "make_params",
     "initial_state",
     "bloch_decompose",
-    "bloch_compose",
     "validate_density_matrix",
     "x_structure_defect",
     "state_to_json",

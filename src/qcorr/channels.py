@@ -108,23 +108,27 @@ def apply_pauli_channel(rho: np.ndarray, axis: str, mu: float, qubit: str = "B")
 
 
 def _mix(rho: np.ndarray, L: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """(1+mu)/2 rho + (1-mu)/2 L rho L† for every mu, shape mu.shape + (4, 4);
-    L rho L† is formed once."""
+    """(1+mu)/2 rho + (1-mu)/2 L rho L† for every start in rho (shape
+    S + (4, 4)) and every mu: shape S + mu.shape + (4, 4).  L rho L† is
+    formed once per start, on the stack as given, and only then do the
+    time axes go in."""
     rho = np.asarray(rho, dtype=complex)
     flipped = L @ rho @ dag(L)
+    at = rho.shape[:-2] + (1,) * mu.ndim + rho.shape[-2:]
     p_plus = ((1.0 + mu) / 2.0)[..., None, None]
     p_minus = ((1.0 - mu) / 2.0)[..., None, None]
-    return p_plus * rho + p_minus * flipped
+    return p_plus * rho.reshape(at) + p_minus * flipped.reshape(at)
 
 
 def kraus_apply(
     rho: np.ndarray, channel: ChannelSpec, t: float | Sequence[float]
 ) -> np.ndarray:
-    """Exact channel action via the two-element Kraus mixture, at one time
-    or at every time in t: shape T + (4, 4) for times of shape T (a single
-    4x4 for a scalar t).  L rho L† is formed once for all times, and each
-    time gives exactly the state a scalar call gives.  A negative or NaN
-    time raises ValueError."""
+    """Exact channel action via the two-element Kraus mixture, for every
+    start in rho at every time in t: shape S + T + (4, 4) for starts of
+    shape S + (4, 4) and times of shape T (a single 4x4 for one start and
+    a scalar t).  L rho L† is formed once per start for all times, and
+    each (start, time) gives exactly the state a one-state scalar call
+    gives.  A negative or NaN time raises ValueError."""
     times = np.asarray(t, dtype=float)
     mu = np.array([decay_factor(channel, x) for x in times.ravel().tolist()])
     return _mix(rho, jump_operator(channel), mu.reshape(times.shape))

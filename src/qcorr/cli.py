@@ -11,6 +11,7 @@ numerical/validation error while computing.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -73,7 +74,10 @@ def _angle_token(token: str) -> str:
 
 
 def _angle_list(text: str) -> list[float]:
-    return [parse_angle(tok) for tok in text.split(",") if tok.strip()]
+    angles = [parse_angle(tok) for tok in text.split(",") if tok.strip()]
+    if not angles:
+        raise argparse.ArgumentTypeError("empty angle list")
+    return angles
 
 
 def _time_list(text: str) -> list[float]:
@@ -86,8 +90,8 @@ def _time_list(text: str) -> list[float]:
             start, stop, step = (float(p) for p in parts)
         except ValueError:
             raise argparse.ArgumentTypeError(f"cannot parse time range {text!r}") from None
-        span = (stop - start) / step
-        if not (step > 0.0 and span >= 0.0):
+        span = (stop - start) / step if step > 0.0 else math.nan
+        if not span >= 0.0:
             raise argparse.ArgumentTypeError(f"bad time range {text!r}")
         if span >= MAX_TIME_POINTS:
             raise argparse.ArgumentTypeError(
@@ -473,10 +477,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                          f" more than {MAX_SWEEP_POINTS}")
     handler = _COMMANDS[args.command]
     try:
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                return handler(args, fh)
-        return handler(args, sys.stdout)
+        sink = (open(args.out, "w", encoding="utf-8") if args.out
+                else contextlib.nullcontext(sys.stdout))
+    except OSError as exc:
+        parser.error(f"cannot write --out {args.out!r}: {exc.strerror}")
+    try:
+        with sink as out:
+            return handler(args, out)
     except ValueError as exc:  # includes InvalidStateError
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -149,27 +149,23 @@ def sweep(
     optimizer: OptimizerSettings | None = None,
 ) -> SweepTable:
     """Evaluate closed-form measures (and optionally the oracles) over the
-    grid.  The closed forms take one array evaluation per channel over the
-    whole (theta, time) grid.  With oracles, one kraus_apply call per
-    (channel, theta) evolves the start to every time, the states form one
-    stack, and one oracle_values call reads every measure from it, the two
-    entropic measures from one optimizer run."""
+    grid.  The closed forms take one closed_values call per channel over
+    the whole (theta, time) grid.  With oracles, one kraus_apply call per
+    channel evolves the stacked starts to every time, and one oracle_values
+    call reads every measure from the whole stack, the two entropic
+    measures from one optimizer run."""
     channels = [ChannelSpec(axis=axis, gamma=gamma, qubit=noisy_qubit) for axis in axes]
     params = [make_params(theta) for theta in grid.thetas]
     shape = (len(measures), len(channels), len(params), len(grid.times))
 
-    closed = np.empty(shape)
-    for a, channel in enumerate(channels):
-        values = closed_values(params, channel, grid.times, measures)
-        for m, name in enumerate(measures):
-            closed[m, a] = values[name]
+    blocks = [closed_values(params, channel, grid.times, measures) for channel in channels]
+    closed = np.array([[block[name] for block in blocks] for name in measures]).reshape(shape)
 
     oracle = states = None
     if include_oracle:
-        initial = [initial_state(p) for p in params]
-        states = np.array([
-            kraus_apply(rho0, channel, grid.times) for channel in channels for rho0 in initial
-        ]).reshape(shape[1:] + (4, 4))
+        initial = np.array([initial_state(p) for p in params])
+        evolved = [kraus_apply(initial, channel, grid.times) for channel in channels]
+        states = np.array(evolved).reshape(shape[1:] + (4, 4))
         values = oracle_values(states.reshape(-1, 4, 4), measures, optimizer)
         oracle = np.array([values[name] for name in measures]).reshape(shape)
 

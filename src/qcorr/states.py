@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULI_BASIS, pauli_coefficients
+from .linalg import pauli_coefficients
 
 __all__ = [
     "StateParams",
@@ -25,7 +25,6 @@ __all__ = [
     "initial_state",
     "BlochForm",
     "bloch_decompose",
-    "bloch_compose",
     "InvalidStateError",
     "validate_density_matrix",
     "x_structure_defect",
@@ -92,16 +91,6 @@ def bloch_decompose(rho: np.ndarray) -> BlochForm:
     t_ij = tr(rho sigma_i x sigma_j)."""
     r = pauli_coefficients(validate_density_matrix(rho))
     return BlochForm(x=r[1:, 0], y=r[0, 1:], T=r[1:, 1:])
-
-
-def bloch_compose(form: BlochForm) -> np.ndarray:
-    """Rebuild the density matrix from Bloch data."""
-    r = np.empty((4, 4))
-    r[0, 0] = 1.0
-    r[1:, 0] = form.x
-    r[0, 1:] = form.y
-    r[1:, 1:] = form.T
-    return np.einsum("k,kij->ij", r.ravel(), PAULI_BASIS) / 4.0
 
 
 _TRACE_TOL = 1e-12

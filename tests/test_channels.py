@@ -122,6 +122,17 @@ def test_kraus_apply_over_times_stacks_the_scalar_calls():
                 grid = kraus_apply(rho, ch, np.reshape(times[:6], (2, 3)))
                 assert grid.tobytes() == want[:6].tobytes() and grid.shape == (2, 3, 4, 4)
     assert kraus_apply(full_rank, ChannelSpec("x"), 0.4).shape == (4, 4)
+    # a stack of starts of shape S gives S + T + (4, 4), each start evolved
+    # to the bytes of its one-state call
+    starts = np.array([initial_state(0.9), full_rank, initial_state(2.4),
+                       initial_state(1e-6), full_rank.conj(), initial_state(0.0)])
+    ch = ChannelSpec(axis="y", gamma=2.5, qubit="A")
+    for stack in (starts[:2], starts.reshape(2, 3, 4, 4)):
+        for t in (times, np.reshape(times[:6], (2, 3)), 0.7):
+            got = kraus_apply(stack, ch, t)
+            assert got.shape == stack.shape[:-2] + np.shape(t) + (4, 4)
+            want = np.array([kraus_apply(rho, ch, t) for rho in stack.reshape(-1, 4, 4)])
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("bad", [-1e-3, math.nan, [0.5, -1.0], [math.nan]])

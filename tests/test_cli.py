@@ -314,7 +314,30 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["sweep", "--thetas", "pi/4", "--tmax", "1", "--tsteps", str(MAX_TIME_POINTS + 1)])
     assert err.value.code == 2
+    # a zero step is a bad range, not a division by zero
+    for times in ("0:1:0", "1:1:0"):
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--thetas", "pi/4", "--times", times])
+        assert err.value.code == 2
+        assert f"bad time range '{times}'" in capsys.readouterr().err
+    # an empty angle list fails like every other empty list
+    for thetas in ("", ","):
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--thetas", thetas, "--times", "0"])
+        assert err.value.code == 2
+        assert "empty angle list" in capsys.readouterr().err
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["missing/x.txt", "."])
+def test_unwritable_out_exits_2_before_computing(tmp_path, capsys, monkeypatch, name):
+    monkeypatch.setattr(cli, "sweep", lambda *args, **kwargs: pytest.fail("computed"))
+    path = str(tmp_path / name)
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", "--thetas", "pi/4", "--times", "0", "--out", path])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert path in message and "Traceback" not in message
 
 
 def test_rk4_step_count_is_bounded_before_anything_runs(capsys, monkeypatch):

@@ -549,9 +549,21 @@ def test_oracle_sweep_hands_back_its_states():
     grid = SweepGrid(thetas=(0.4, 2.2), times=(0.0, 0.7, 1.5))
     table = sweep(grid, axes=("x", "y"), measures=("concurrence",), include_oracle=True)
     assert table.states.shape == (2, 2, 3, 4, 4)
-    want = kraus_apply(initial_state(2.2), ChannelSpec(axis="y"), 0.7)
-    np.testing.assert_array_equal(table.states[1, 1, 1], want)
+    for a, axis in enumerate(("x", "y")):
+        for i, theta in enumerate(grid.thetas):
+            for j, t in enumerate(grid.times):
+                want = kraus_apply(initial_state(theta), ChannelSpec(axis=axis), t)
+                assert table.states[a, i, j].tobytes() == want.tobytes()
     assert sweep(grid, axes=("x",), measures=("concurrence",)).states is None
+    # empty axes or measures keep the shape of every block
+    for oracle in (False, True):
+        empty = sweep(grid, axes=(), include_oracle=oracle)
+        assert empty.closed.shape == (3, 0, 2, 3) and len(empty) == 0
+        none = sweep(grid, measures=(), include_oracle=oracle)
+        assert none.closed.shape == (0, 3, 2, 3) and len(none) == 0
+        if oracle:
+            assert empty.oracle.shape == (3, 0, 2, 3) and empty.states.shape == (0, 2, 3, 4, 4)
+            assert none.oracle.shape == (0, 3, 2, 3) and none.states.shape == (3, 2, 3, 4, 4)
 
 
 @pytest.mark.parametrize(

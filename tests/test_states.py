@@ -6,7 +6,6 @@ import pytest
 
 from qcorr.states import (
     InvalidStateError,
-    bloch_compose,
     bloch_decompose,
     initial_state,
     make_params,
@@ -105,15 +104,6 @@ def test_bloch_form_of_family():
     np.testing.assert_allclose(form.x, 0.0, atol=1e-14)
     np.testing.assert_allclose(form.y, 0.0, atol=1e-14)
     np.testing.assert_allclose(form.T, np.diag([-q, -1.0, -q]), atol=1e-14)
-
-
-def test_bloch_round_trip():
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        rho = a @ a.conj().T
-        rho /= np.trace(rho).real
-        np.testing.assert_allclose(bloch_compose(bloch_decompose(rho)), rho, atol=1e-13)
 
 
 def test_validate_rejects_bad_matrices():
