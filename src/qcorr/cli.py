@@ -16,7 +16,9 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import re
+import stat
 import sys
 from typing import Optional, Sequence, TextIO
 
@@ -38,9 +40,11 @@ __all__ = ["main", "build_parser"]
 # most time points a --times range or --tsteps may ask for
 MAX_TIME_POINTS = 100_000
 # most (axis, theta, time) points one sweep may ask for (closed forms only,
-# all five measures: about 7 s and a 255 MB peak on a 2-core VM)
+# all five measures at --precision 17: about 5.6 s, a 127 MB peak and a
+# 384 MB CSV on a 2-core VM)
 MAX_SWEEP_POINTS = 1_000_000
-# most steps evolve --steps may ask for (about 1.7 s of rk4)
+# most steps evolve --steps may ask for (rk4 squares its one-step propagator,
+# so this takes about 0.3 ms of it on a 2-core VM)
 MAX_RK4_STEPS = 1_000_000
 DEFAULT_RK4_STEPS = 400
 
@@ -147,6 +151,25 @@ def _print_matrix(rho: np.ndarray, precision: int, out: TextIO) -> None:
             else:
                 cells.append(f"{re_s}{'+' if im >= 0 else '-'}{_fmt(abs(im), precision)}j")
         out.write("  [" + ", ".join(f"{c:>14s}" for c in cells) + "]\n")
+
+
+class _OutFile:
+    """Writes to a --out file opened for appending and empties it on the
+    first write, so a command that fails before it writes leaves the file
+    as it was.  Only a regular file that holds something is emptied: a
+    device or a pipe refuses truncate, and a new file, where truncating
+    would cost a second file-system update, is empty already."""
+
+    def __init__(self, file: TextIO):
+        self._file = file
+        info = os.fstat(file.fileno())
+        self._pending = stat.S_ISREG(info.st_mode) and info.st_size > 0
+
+    def write(self, text: str) -> int:
+        if self._pending:
+            self._file.truncate(0)
+            self._pending = False
+        return self._file.write(text)
 
 
 def _settings(args: argparse.Namespace) -> OptimizerSettings:
@@ -348,24 +371,24 @@ def _cmd_sweep(args: argparse.Namespace, out: TextIO) -> int:
         payload = [dataclasses.asdict(r) for r in table]
         out.write(json.dumps(payload, indent=2) + "\n")
         return 0
-    # written block by block from the table's arrays, each theta and gamma*t
-    # formatted once
+    # Each (measure, axis, theta) block is one %-format of a template that
+    # holds the block's fixed text, each theta and gamma*t formatted once,
+    # with a %.Pg field per value: row k reads head, gamma_t[k], the closed
+    # value and, with oracles, the oracle value
     fmt = f"%.{args.precision}g"
     thetas = [fmt % theta for theta in table.thetas]
-    gamma_ts = [fmt % gt for gt in table.gamma_ts]
-    no_oracle = [""] * len(gamma_ts)
+    if table.oracle is None:
+        fields, values = f"{fmt},", table.closed
+    else:
+        fields, values = f"{fmt},{fmt}", np.stack([table.closed, table.oracle], -1)
+    tails = [f"{fmt % gt},{fields}" for gt in table.gamma_ts]
     out.write("channel,measure,theta,gamma_t,value_closed,value_oracle\n")
     for m, measure in enumerate(table.measures):
         for a, axis in enumerate(table.axes):
             for i, theta in enumerate(thetas):
                 head = f"{axis},{measure},{theta},"
-                closed = [fmt % v for v in table.closed[m, a, i].tolist()]
-                oracle = no_oracle if table.oracle is None else [
-                    fmt % v for v in table.oracle[m, a, i].tolist()
-                ]
-                out.write("".join(
-                    f"{head}{gt},{c},{o}\n" for gt, c, o in zip(gamma_ts, closed, oracle)
-                ))
+                template = head + ("\n" + head).join(tails) + "\n"
+                out.write(template % tuple(values[m, a, i].ravel().tolist()))
     return 0
 
 
@@ -477,13 +500,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                          f" more than {MAX_SWEEP_POINTS}")
     handler = _COMMANDS[args.command]
     try:
-        sink = (open(args.out, "w", encoding="utf-8") if args.out
+        sink = (open(args.out, "a", encoding="utf-8") if args.out
                 else contextlib.nullcontext(sys.stdout))
     except OSError as exc:
         parser.error(f"cannot write --out {args.out!r}: {exc.strerror}")
     try:
         with sink as out:
-            return handler(args, out)
+            return handler(args, _OutFile(out) if args.out else out)
     except ValueError as exc:  # includes InvalidStateError
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -44,6 +44,19 @@ so it keeps its relative accuracy where it is far smaller than either.  One
 array-valued core (closed_values) evaluates all of them over whole
 (theta, t) grids; the per-measure *_closed functions are scalar wrappers.
 
+The concurrence, geometric discord, mutual information and classical
+correlation kernels work elementwise on c1, c2, c3 and reduce over no short
+last axis, which costs NumPy a loop per point.  The Bell projections s.c
+are summed along a leading axis as (s1 c1 + s2 c2) + s3 c3, and mutual
+information adds its four terms in Bell-state order.  The concurrence's
+max x is the larger of |c1 + c2| - c3 and |c1 - c2| + c3, since the four
+projections are +-(c1 + c2) - c3 and +-(c1 - c2) + c3; classical
+correlation takes max |c_k| as an elementwise maximum; the geometric
+discord is a quarter of the least of the three pairwise sums of squares.
+Rounding is monotone and odd, so each of these has the bits of the
+reduction it replaces.  The discord still gathers its pair matrix per
+point (_PAIRS).
+
 All entropies are base 2 (bits).  The oracles take every von Neumann and
 post-measurement entropy from linalg.spectrum_entropy, the one entropy
 kernel; the closed forms need none, since their entropies are log1p and
@@ -282,14 +295,25 @@ def quantum_discord_y_expanded(params: StateParams, channel: ChannelSpec, t: flo
 # closed forms on the correlation triple
 # ---------------------------------------------------------------------------
 
-# Bell-state sign patterns s, one row each for |psi->, |phi+>, |phi->, |psi+>
-_BELL_SIGNS = np.array([[-1.0, -1.0, -1.0], [1.0, -1.0, 1.0], [-1.0, 1.0, 1.0], [1.0, 1.0, -1.0]])
+# Bell-state sign patterns s, one row each for |psi->, |phi+>, |phi->, |psi+>,
+# stored one column each, so that the components of c run down the rows
+_BELL_SIGNS = np.ascontiguousarray(
+    np.array([[-1.0, -1.0, -1.0], [1.0, -1.0, 1.0], [-1.0, 1.0, 1.0], [1.0, 1.0, -1.0]]).T
+)
+
+
+def _components(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """c1, c2 and c3 as views of shape c.shape[:-1]."""
+    return c[..., 0], c[..., 1], c[..., 2]
 
 
 def _bell_projections(c: np.ndarray) -> np.ndarray:
-    """x = s.c for each Bell state along a new last axis; its weight is
-    w = (1 + x)/4."""
-    return (c[..., None, :] * _BELL_SIGNS).sum(axis=-1)
+    """x = s.c for each Bell state along a new first axis; its weight is
+    w = (1 + x)/4.  The terms s_i c_i are summed along a leading axis, as
+    the elementwise (s1 c1 + s2 c2) + s3 c3, not along a length-3 last axis."""
+    lead = c.transpose((c.ndim - 1,) + tuple(range(c.ndim - 1)))
+    signs = _BELL_SIGNS.reshape(_BELL_SIGNS.shape + (1,) * (c.ndim - 1))
+    return np.add.reduce(lead[:, None] * signs, axis=0)
 
 
 def _one_plus_x_log2(x: np.ndarray) -> np.ndarray:
@@ -302,15 +326,34 @@ def _one_plus_x_log2(x: np.ndarray) -> np.ndarray:
     return (1.0 + x) * np.log1p(x) / math.log(2.0)
 
 
+def _concurrence_triple(c: np.ndarray) -> np.ndarray:
+    # 2 max w - 1 = (max x - 1)/2, where the projections are the pairs
+    # +-(c1 + c2) - c3 and +-(c1 - c2) + c3; rounding is monotone and odd,
+    # so the larger of each pair rounds as |c1 + c2| - c3 or |c1 - c2| + c3
+    c1, c2, c3 = _components(c)
+    x = np.maximum(abs(c1 + c2) - c3, abs(c1 - c2) + c3)
+    return np.maximum(0.5 * (x - 1.0), 0.0)
+
+
 def _mutual_information_triple(c: np.ndarray) -> np.ndarray:
-    # 2 - H(w) = sum w log2(4 w)
-    return 0.25 * _one_plus_x_log2(_bell_projections(c)).sum(axis=-1)
+    # 2 - H(w) = sum w log2(4 w), added over the Bell states in order
+    return 0.25 * np.add.reduce(_one_plus_x_log2(_bell_projections(c)), axis=0)
 
 
 def _classical_correlation_triple(c: np.ndarray) -> np.ndarray:
     # 1 - h((1 + phi)/2) = [(1 + phi) log2(1 + phi) + (1 - phi) log2(1 - phi)]/2
-    phi = np.abs(c).max(axis=-1)
-    return 0.5 * (_one_plus_x_log2(phi) + _one_plus_x_log2(-phi))
+    a1, a2, a3 = _components(np.abs(c))
+    phi = np.maximum(np.maximum(a1, a2), a3)
+    g = _one_plus_x_log2(np.array([phi, -phi]))
+    return 0.5 * (g[0] + g[1])
+
+
+def _geometric_discord_triple(c: np.ndarray) -> np.ndarray:
+    # the two smaller squares, sum c^2 - max c^2 without the cancellation:
+    # rounding is monotone, so the least rounded pair sum is the rounded sum
+    # of the two smallest squares
+    s1, s2, s3 = _components(c * c)
+    return 0.25 * np.minimum(np.minimum(s1 + s2, s1 + s3), s2 + s3)
 
 
 def _pair_log2(x: np.ndarray) -> np.ndarray:
@@ -344,10 +387,8 @@ def _quantum_discord_triple(c: np.ndarray) -> np.ndarray:
 
 
 _TRIPLE_MEASURES = {
-    # 2 max w - 1 = (max x - 1)/2
-    "concurrence": lambda c: np.maximum(0.5 * (_bell_projections(c).max(axis=-1) - 1.0), 0.0),
-    # the two smaller squares: sum c^2 - max c^2 without the cancellation
-    "geometric_discord": lambda c: 0.25 * np.sort(c * c, axis=-1)[..., :2].sum(axis=-1),
+    "concurrence": _concurrence_triple,
+    "geometric_discord": _geometric_discord_triple,
     "quantum_discord": _quantum_discord_triple,
     "mutual_information": _mutual_information_triple,
     "classical_correlation": _classical_correlation_triple,

@@ -2,6 +2,7 @@
 import argparse
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -256,6 +257,67 @@ def test_sweep_out_file(tmp_path, capsys):
     lines = target.read_text().strip().splitlines()
     assert lines[0].startswith("channel,measure")
     assert len(lines) == 3
+
+
+def test_failing_command_leaves_an_existing_out_file_as_it_was(tmp_path, capsys):
+    target = tmp_path / "keep.txt"
+    target.write_text("kept text\nsecond line\n")
+    code = main(["sweep", "--thetas", "pi/4", "--times", "nan", "--out", str(target)])
+    assert code == 3
+    assert "sweep times must be >= 0" in capsys.readouterr().err
+    assert target.read_text() == "kept text\nsecond line\n"
+
+
+def test_out_file_is_replaced_not_appended_to(tmp_path, capsys):
+    argv = ("sweep", "--thetas", "pi/4", "--times", "0,1", "--axes", "x",
+            "--measures", "concurrence")
+    _, want = run(capsys, *argv)
+    target = tmp_path / "rows.csv"
+    target.write_text("stale\n" * 1000)
+    for _ in range(2):
+        code, _ = run(capsys, *argv, "--out", str(target))
+        assert code == 0
+        assert target.read_text() == want
+
+
+def test_out_device_is_written_without_emptying(capsys):
+    code, _ = run(capsys, "state", "--theta", "pi/4", "--measures", "concurrence",
+                  "--out", os.devnull)
+    assert code == 0
+
+
+def _reference_sweep_csv(table, precision):
+    """The sweep CSV written one value and one row at a time."""
+    fmt = f"%.{precision}g"
+    lines = ["channel,measure,theta,gamma_t,value_closed,value_oracle"]
+    for m, measure in enumerate(table.measures):
+        for a, axis in enumerate(table.axes):
+            for i, theta in enumerate(table.thetas):
+                for k, gamma_t in enumerate(table.gamma_ts):
+                    closed = fmt % float(table.closed[m, a, i, k])
+                    oracle = "" if table.oracle is None else fmt % float(table.oracle[m, a, i, k])
+                    lines.append(f"{axis},{measure},{fmt % theta},{fmt % gamma_t},{closed},{oracle}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("precision", ["6", "9", "17"])
+@pytest.mark.parametrize("axes", ["y", "x,y,z"])
+@pytest.mark.parametrize("oracle", [False, True])
+def test_sweep_csv_is_the_per_value_reference(capsys, monkeypatch, precision, axes, oracle):
+    tables, compute = [], cli.sweep
+
+    def keep(*args, **kwargs):
+        tables.append(compute(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(cli, "sweep", keep)
+    argv = ["sweep", "--thetas", "0,1e-8,pi/4,pi/2,3.14159265,pi", "--times", "0,1e-3,0.7,20,inf",
+            "--axes", axes, "--measures", "all" if not oracle else "concurrence,geometric_discord",
+            "--gamma", "1.3", "--precision", precision] + (["--oracle"] if oracle else [])
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out == _reference_sweep_csv(tables[0], int(precision))
+    assert (",0," in out) and (",inf," in out)
 
 
 def test_deathtime_json(capsys):
