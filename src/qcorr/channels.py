@@ -69,6 +69,11 @@ def decay_factor(channel: ChannelSpec, t: float) -> float:
     return math.exp(-2.0 * channel.gamma * t)
 
 
+def _decay_factors(channel: ChannelSpec, t: np.ndarray) -> np.ndarray:
+    """decay_factor at every time in t, in the shape of t."""
+    return np.array([decay_factor(channel, x) for x in t.ravel().tolist()]).reshape(t.shape)
+
+
 _JUMP_OPERATORS = {
     (axis, qubit): tensor(PAULIS[axis], PAULI_I) if qubit == "A" else tensor(PAULI_I, PAULIS[axis])
     for axis in _AXES
@@ -129,9 +134,7 @@ def kraus_apply(
     a scalar t).  L rho L† is formed once per start for all times, and
     each (start, time) gives exactly the state a one-state scalar call
     gives.  A negative or NaN time raises ValueError."""
-    times = np.asarray(t, dtype=float)
-    mu = np.array([decay_factor(channel, x) for x in times.ravel().tolist()])
-    return _mix(rho, jump_operator(channel), mu.reshape(times.shape))
+    return _mix(rho, jump_operator(channel), _decay_factors(channel, np.asarray(t, dtype=float)))
 
 
 # the components of c that a Pauli channel along each axis scales by mu
@@ -161,8 +164,7 @@ def family_triple(
     c[...] = -q.reshape(q.shape + (1,) * (times.ndim + 1))
     c[..., 1] = -1.0
     if channel is not None:
-        mu = np.array([decay_factor(channel, x) for x in times.ravel().tolist()])
-        mu = mu.reshape(times.shape)
+        mu = _decay_factors(channel, times)
         for k in _ORTHOGONAL[channel.axis]:
             c[..., k] *= mu
     return c

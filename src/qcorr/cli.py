@@ -499,6 +499,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error(f"sweep grid has {points} (axis, theta, time) points,"
                          f" more than {MAX_SWEEP_POINTS}")
     handler = _COMMANDS[args.command]
+    created = bool(args.out) and not os.path.lexists(args.out)
     try:
         sink = (open(args.out, "a", encoding="utf-8") if args.out
                 else contextlib.nullcontext(sys.stdout))
@@ -509,6 +510,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return handler(args, _OutFile(out) if args.out else out)
     except ValueError as exc:  # includes InvalidStateError
         print(f"error: {exc}", file=sys.stderr)
+        # remove a file this call created and left empty
+        if created and os.path.getsize(args.out) == 0:
+            os.remove(args.out)
         return 3
 
 

@@ -24,6 +24,7 @@ from .channels import (
     ChannelSpec,
     analytic_evolve,
     apply_pauli_channel,
+    family_triple,
     integrate_rk4,
     kraus_apply,
     uncorrected_y_matrix,
@@ -31,6 +32,7 @@ from .channels import (
 from .measures import (
     MEASURE_NAMES,
     OptimizerSettings,
+    _triple_values,
     _wootters_scores,
     closed_values,
     concurrence,
@@ -437,25 +439,22 @@ def verify_suite(quick: bool = False, optimizer: OptimizerSettings | None = None
     checks.append(_check("quantum_discord_closed_vs_oracle", err_q, 1e-5))
 
     # the retained literal discord forms against the closed discord, drawn
-    # point by point and read per axis from the diagonal of one theta x t grid
+    # point by point and read from one stack of their triples
     rng = np.random.default_rng(20260822)
     n_pairs = 50 if quick else 200
     for suffix, form, count, theta_max in (
         ("xz", quantum_discord_xz_expanded, n_pairs, math.pi - 0.1),
         ("y", quantum_discord_y_expanded, n_pairs // 2, math.pi / 2),
     ):
-        draws: dict[str, list[tuple[StateParams, float]]] = {}
+        draws = []
         for _ in range(count):
             theta = float(rng.uniform(0.1, theta_max))
             t = float(rng.uniform(0.0, 3.0))
             axis = "y" if suffix == "y" else "x" if rng.integers(2) else "z"
-            draws.setdefault(axis, []).append((make_params(theta), t))
-        err_e = 0.0
-        for axis, points in draws.items():
-            params, ts = zip(*points)
-            closed = closed_values(params, channels[axis], ts, ("quantum_discord",))
-            for (p, t), value in zip(points, closed["quantum_discord"].diagonal().tolist()):
-                err_e = max(err_e, abs(form(p, channels[axis], t) - value))
+            draws.append((make_params(theta), channels[axis], t))
+        c = np.array([family_triple(*draw) for draw in draws])
+        closed = _triple_values(c, ("quantum_discord",))["quantum_discord"].tolist()
+        err_e = max(abs(form(*draw) - value) for draw, value in zip(draws, closed))
         checks.append(_check(f"discord_expanded_form_identity_{suffix}", err_e, 1e-10))
 
     # death times: the two closed forms, and bisection against them

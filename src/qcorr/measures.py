@@ -41,21 +41,21 @@ along axis k: r = (1 + sigma c_k)/4 and delta = (c_i - sigma c_j)/4 for the
 other two axes, with F(x) = (1+x) log2(1+x) + (1-x) log2(1-x).  It equals
 mutual information minus classical correlation without their cancellation,
 so it keeps its relative accuracy where it is far smaller than either.  One
-array-valued core (closed_values) evaluates all of them over whole
-(theta, t) grids; the per-measure *_closed functions are scalar wrappers.
+triple -> values entry (_triple_values) evaluates all of them on any stack
+of triples; closed_values runs it on whole (theta, t) grids of the family,
+and the per-measure *_closed functions are scalar wrappers.
 
 The concurrence, geometric discord, mutual information and classical
 correlation kernels work elementwise on c1, c2, c3 and reduce over no short
-last axis, which costs NumPy a loop per point.  The Bell projections s.c
-are summed along a leading axis as (s1 c1 + s2 c2) + s3 c3, and mutual
-information adds its four terms in Bell-state order.  The concurrence's
-max x is the larger of |c1 + c2| - c3 and |c1 - c2| + c3, since the four
-projections are +-(c1 + c2) - c3 and +-(c1 - c2) + c3; classical
-correlation takes max |c_k| as an elementwise maximum; the geometric
-discord is a quarter of the least of the three pairwise sums of squares.
-Rounding is monotone and odd, so each of these has the bits of the
-reduction it replaces.  The discord still gathers its pair matrix per
-point (_PAIRS).
+last axis, which costs NumPy a loop per point.  Mutual information writes
+out its four Bell projections s.c as (s1 c1 + s2 c2) + s3 c3 and adds its
+four terms in Bell-state order.  The concurrence's max x is the larger of
+|c1 + c2| - c3 and |c1 - c2| + c3, since the four projections are
++-(c1 + c2) - c3 and +-(c1 - c2) + c3; classical correlation takes max |c_k|
+as an elementwise maximum; the geometric discord is a quarter of the least
+of the three pairwise sums of squares.  Rounding is monotone and odd, so
+each of these has the bits of the reduction it replaces.  The discord still
+gathers its pair matrix per point (_PAIRS).
 
 All entropies are base 2 (bits).  The oracles take every von Neumann and
 post-measurement entropy from linalg.spectrum_entropy, the one entropy
@@ -295,25 +295,9 @@ def quantum_discord_y_expanded(params: StateParams, channel: ChannelSpec, t: flo
 # closed forms on the correlation triple
 # ---------------------------------------------------------------------------
 
-# Bell-state sign patterns s, one row each for |psi->, |phi+>, |phi->, |psi+>,
-# stored one column each, so that the components of c run down the rows
-_BELL_SIGNS = np.ascontiguousarray(
-    np.array([[-1.0, -1.0, -1.0], [1.0, -1.0, 1.0], [-1.0, 1.0, 1.0], [1.0, 1.0, -1.0]]).T
-)
-
-
 def _components(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """c1, c2 and c3 as views of shape c.shape[:-1]."""
     return c[..., 0], c[..., 1], c[..., 2]
-
-
-def _bell_projections(c: np.ndarray) -> np.ndarray:
-    """x = s.c for each Bell state along a new first axis; its weight is
-    w = (1 + x)/4.  The terms s_i c_i are summed along a leading axis, as
-    the elementwise (s1 c1 + s2 c2) + s3 c3, not along a length-3 last axis."""
-    lead = c.transpose((c.ndim - 1,) + tuple(range(c.ndim - 1)))
-    signs = _BELL_SIGNS.reshape(_BELL_SIGNS.shape + (1,) * (c.ndim - 1))
-    return np.add.reduce(lead[:, None] * signs, axis=0)
 
 
 def _one_plus_x_log2(x: np.ndarray) -> np.ndarray:
@@ -336,8 +320,11 @@ def _concurrence_triple(c: np.ndarray) -> np.ndarray:
 
 
 def _mutual_information_triple(c: np.ndarray) -> np.ndarray:
-    # 2 - H(w) = sum w log2(4 w), added over the Bell states in order
-    return 0.25 * np.add.reduce(_one_plus_x_log2(_bell_projections(c)), axis=0)
+    # 2 - H(w) = sum w log2(4 w), added over psi-, phi+, phi-, psi+ in order,
+    # with w = (1 + x)/4 and each projection x = s.c as (s1 c1 + s2 c2) + s3 c3
+    c1, c2, c3 = _components(c)
+    x = np.array([(-c1 - c2) - c3, (c1 - c2) + c3, (c2 - c1) + c3, (c1 + c2) - c3])
+    return 0.25 * np.add.reduce(_one_plus_x_log2(x), axis=0)
 
 
 def _classical_correlation_triple(c: np.ndarray) -> np.ndarray:
@@ -406,10 +393,15 @@ def closed_values(
     """Closed-form value of each named measure for every family member in
     params evolved to every time in t, as arrays of shape P + T (see
     channels.family_triple).  The counterpart of oracle_values."""
+    return _triple_values(family_triple(params, channel, t), names)
+
+
+def _triple_values(c: np.ndarray, names: Sequence[str]) -> dict[str, np.ndarray]:
+    """Closed-form value of each named measure for every triple in a stack c
+    of shape S + (3,), as arrays of shape S."""
     for name in names:
         if name not in _TRIPLE_MEASURES:
             raise ValueError(f"unknown measure {name!r}; choose from {sorted(MEASURE_NAMES)}")
-    c = family_triple(params, channel, t)
     return {name: _finalize(_TRIPLE_MEASURES[name](c)) for name in names}
 
 

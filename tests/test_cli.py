@@ -268,6 +268,14 @@ def test_failing_command_leaves_an_existing_out_file_as_it_was(tmp_path, capsys)
     assert target.read_text() == "kept text\nsecond line\n"
 
 
+def test_failing_command_leaves_no_new_out_file(tmp_path, capsys):
+    target = tmp_path / "new.txt"
+    code = main(["sweep", "--thetas", "pi/4", "--times", "nan", "--out", str(target)])
+    assert code == 3
+    assert "sweep times must be >= 0" in capsys.readouterr().err
+    assert not os.path.lexists(target)
+
+
 def test_out_file_is_replaced_not_appended_to(tmp_path, capsys):
     argv = ("sweep", "--thetas", "pi/4", "--times", "0,1", "--axes", "x",
             "--measures", "concurrence")

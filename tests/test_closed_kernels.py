@@ -104,9 +104,3 @@ def test_closed_kernels_keep_the_bits_of_the_array_reductions(name):
         got, want = np.asarray(kernel(c)), np.asarray(REFERENCE[name](c))
         assert got.shape == want.shape, label
         assert got.tobytes() == want.tobytes(), label
-
-
-def test_bell_projections_are_the_signed_sums():
-    for label, c in TRIPLES:
-        got = np.moveaxis(measures._bell_projections(c), 0, -1)
-        assert got.tobytes() == _reference_projections(c).tobytes(), label

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qcorr import dynamics
+from qcorr import dynamics, measures
 from qcorr.channels import ChannelSpec, analytic_evolve, kraus_apply
 from qcorr.dynamics import (
     MEASURE_NAMES,
@@ -525,6 +525,19 @@ def test_verify_expanded_form_errors_match_the_per_point_loops():
     # repr tells a float from an np.float64 of the same value
     assert repr(report["discord_expanded_form_identity_xz"]) == repr(err_xz)
     assert repr(report["discord_expanded_form_identity_y"]) == repr(err_y)
+
+
+def test_verify_closed_kernels_see_at_most_the_expanded_form_draws(monkeypatch):
+    # the expanded-form check stacks its 200 draws; no closed kernel call
+    # should see a theta x t grid of them
+    sizes = []
+    for name, kernel in measures._TRIPLE_MEASURES.items():
+        def recording(c, kernel=kernel):
+            sizes.append(math.prod(c.shape[:-1]))
+            return kernel(c)
+        monkeypatch.setitem(measures._TRIPLE_MEASURES, name, recording)
+    assert verify_suite().passed
+    assert sizes and max(sizes) <= 200
 
 
 def test_verify_matrix_checks_read_the_sweep_states():
