@@ -211,12 +211,16 @@ def integrate_rk4(rho0: np.ndarray, channel: ChannelSpec, t: float, steps: int) 
     2 log2(steps) 16x16 products), and P^steps is applied to rho once.
     The output is re-Hermitized by (M + M†)/2 at the end.  With 1000 steps over gamma t <= 3 the result
     matches the exact Kraus map within 1e-8 entrywise (in practice far
-    better).  A negative, infinite or NaN t raises ValueError.
+    better).  A negative, infinite or NaN t raises ValueError, and so do
+    fewer steps than gamma t: the decaying modes' one-step factor leaves
+    [-1, 1] once 2 gamma h passes about 2.785, and the result then diverges.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if not 0.0 <= t < math.inf:
         raise ValueError(f"t must be finite and non-negative, got {t}")
+    if not steps >= channel.gamma * t:
+        raise ValueError(f"steps must be >= gamma*t = {channel.gamma * t:g}, got {steps}")
     rho = np.asarray(rho0, dtype=complex).copy()
     if t == 0:
         return rho

@@ -55,7 +55,12 @@ four terms in Bell-state order.  The concurrence's max x is the larger of
 as an elementwise maximum; the geometric discord is a quarter of the least
 of the three pairwise sums of squares.  Rounding is monotone and odd, so
 each of these has the bits of the reduction it replaces.  The discord still
-gathers its pair matrix per point (_PAIRS).
+gathers its pair matrix per point (_PAIRS).  The optimizer's inner loop
+does the same: the conditional entropy sums the squares of the three
+components of each outcome's Bloch vector as x1 x1 + x2 x2 + x3 x3, and the
+compass normalises its tangent vectors and points with the same sum
+(_norm).  NumPy adds fewer than eight terms in order, so each radius and
+length keeps the bits of the sum over a last axis it replaces.
 
 All entropies are base 2 (bits).  The oracles take every von Neumann and
 post-measurement entropy from linalg.spectrum_entropy, the one entropy
@@ -483,7 +488,8 @@ def _conditional_entropy(u: np.ndarray, b1: np.ndarray) -> np.ndarray:
     x = b1 + _OUTCOME_SIGNS.reshape((2,) + (1,) * u.ndim) * u
     p = 0.5 * x[..., 0]
     live = p > 1e-14
-    radius = np.sqrt((x[..., 1:] * x[..., 1:]).sum(axis=-1)) / (2.0 * np.where(live, p, 1.0))
+    x1, x2, x3 = x[..., 1], x[..., 2], x[..., 3]
+    radius = np.sqrt(x1 * x1 + x2 * x2 + x3 * x3) / (2.0 * np.where(live, p, 1.0))
     w = 0.5 * (1.0 + _OUTCOME_SIGNS.reshape((2,) + (1,) * radius.ndim) * radius)
     entropy = spectrum_entropy(w, axis=0)
     return np.where(live, p * entropy, 0.0).sum(axis=0)
@@ -511,6 +517,14 @@ def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """u x v along the last axis (np.cross does the same at several times
     the dispatch cost)."""
     return u[..., _NEXT] * v[..., _AFTER_NEXT] - u[..., _AFTER_NEXT] * v[..., _NEXT]
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """The length of v along a last axis of 3, kept as an axis of 1: the
+    bits of np.linalg.norm(v, axis=-1, keepdims=True), without its
+    reduction over a short last axis."""
+    sq = v * v
+    return np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])[..., None]
 
 
 def _optimize(
@@ -541,10 +555,10 @@ def _optimize(
         d, s = direction[rows], step[rows]
         # a tangent basis at d, crossed with whichever of x and y is far from d
         e1 = _cross(d, np.where(np.abs(d[:, :1]) < 0.6, _X_HAT, _Y_HAT))
-        e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+        e1 /= _norm(e1)
         tangent = s[:, None, None] * np.stack([e1, _cross(d, e1)], axis=1)
         candidates = d[:, None, :] + _COMPASS @ tangent
-        candidates /= np.linalg.norm(candidates, axis=2, keepdims=True)
+        candidates /= _norm(candidates)
         values = _conditional_entropy(candidates @ m[rows], b1[rows, None, :])
         k = values.argmin(axis=1)
         best = values[np.arange(len(rows)), k]

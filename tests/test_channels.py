@@ -329,6 +329,8 @@ def rk4_step_loop(rho0, channel, t, steps):
 
 @pytest.mark.parametrize("steps", [1, 40, 80, 1000])
 def test_rk4_propagator_matches_the_step_loop(steps):
+    # one step may span at most gamma t = 1, so that case runs to t = 0.5
+    t = 0.5 if steps == 1 else 3.0
     rng = np.random.default_rng(53)
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     full_rank = g @ g.conj().T / np.trace(g @ g.conj().T).real
@@ -336,8 +338,8 @@ def test_rk4_propagator_matches_the_step_loop(steps):
         for axis in "xyz":
             for qubit in "AB":
                 ch = ChannelSpec(axis=axis, gamma=1.3, qubit=qubit)
-                want = rk4_step_loop(rho, ch, 3.0, steps)
-                assert np.abs(integrate_rk4(rho, ch, 3.0, steps) - want).max() <= 1e-13
+                want = rk4_step_loop(rho, ch, t, steps)
+                assert np.abs(integrate_rk4(rho, ch, t, steps) - want).max() <= 1e-13
 
 
 def test_rk4_argument_validation():
@@ -351,6 +353,19 @@ def test_rk4_argument_validation():
     out = integrate_rk4(rho, ch, 0.0, steps=5)
     np.testing.assert_array_equal(out, rho)
     assert out is not rho
+
+
+def test_rk4_rejects_fewer_steps_than_gamma_t():
+    # 2 gamma h = 200 is far past RK4's stability edge, where the propagator
+    # power returns entries of order 1e77
+    rho = initial_state(0.7)
+    with pytest.raises(ValueError, match="gamma\\*t"):
+        integrate_rk4(rho, ChannelSpec("x"), 1e3, 10)
+    for t, steps in ((1e300, 1000), (4.0, 3), (5.0, 1)):
+        with pytest.raises(ValueError):
+            integrate_rk4(rho, ChannelSpec("x"), t, steps)
+    # one decay time per step is the limit, and it is allowed
+    assert np.isfinite(integrate_rk4(rho, ChannelSpec("x", gamma=2.0), 5.0, 10)).all()
 
 
 def test_uncorrected_y_matrix_is_not_hermitian():
