@@ -19,10 +19,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import PAULI_I, PAULIS, dag, tensor
+from .linalg import PAULI_I, PAULIS, QUBITS, dag, tensor
 from .states import StateParams, validate_density_matrix
 
 __all__ = [
+    "AXES",
     "ChannelSpec",
     "decay_factor",
     "jump_operator",
@@ -35,8 +36,7 @@ __all__ = [
     "integrate_rk4",
 ]
 
-_AXES = ("x", "y", "z")
-_QUBITS = ("A", "B")
+AXES = tuple(PAULIS)
 # rates this far inside the float range keep 2 gamma, 1/gamma and 51/gamma finite
 _GAMMA_MIN, _GAMMA_MAX = 1e-300, 1e300
 
@@ -51,12 +51,12 @@ class ChannelSpec:
     qubit: str = "B"
 
     def __post_init__(self):
-        if self.axis not in _AXES:
-            raise ValueError(f"axis must be one of {_AXES}, got {self.axis!r}")
+        if self.axis not in AXES:
+            raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
         if not _GAMMA_MIN <= self.gamma <= _GAMMA_MAX:
             raise ValueError(
                 f"gamma must be in [{_GAMMA_MIN:g}, {_GAMMA_MAX:g}], got {self.gamma}")
-        if self.qubit not in _QUBITS:
+        if self.qubit not in QUBITS:
             raise ValueError(f"qubit must be 'A' or 'B', got {self.qubit!r}")
 
 
@@ -76,8 +76,8 @@ def _decay_factors(channel: ChannelSpec, t: np.ndarray) -> np.ndarray:
 
 _JUMP_OPERATORS = {
     (axis, qubit): tensor(PAULIS[axis], PAULI_I) if qubit == "A" else tensor(PAULI_I, PAULIS[axis])
-    for axis in _AXES
-    for qubit in _QUBITS
+    for axis in AXES
+    for qubit in QUBITS
 }
 for _op in _JUMP_OPERATORS.values():
     _op.setflags(write=False)
@@ -154,11 +154,8 @@ def family_triple(
     has shape P + T + (3,), where P and T are the shapes of params and t
     (empty for a single StateParams or a scalar time).
     """
-    if isinstance(params, StateParams):
-        eta = np.array(params.eta)
-    else:
-        eta = np.array([p.eta for p in params], dtype=float)
-    q = 1.0 - 4.0 * eta
+    single = isinstance(params, StateParams)
+    q = np.array(params.q if single else [p.q for p in params], dtype=float)
     times = np.asarray(t, dtype=float)
     c = np.empty(q.shape + times.shape + (3,))
     c[...] = -q.reshape(q.shape + (1,) * (times.ndim + 1))
@@ -195,7 +192,7 @@ def uncorrected_y_matrix(params: StateParams, channel: ChannelSpec, t: float) ->
     and does not reduce to the initial state at t = 0."""
     if channel.axis != "y":
         raise ValueError("the uncorrected variant is specific to the y axis")
-    lam = decay_factor(channel, t) * (1.0 - 4.0 * params.eta)
+    lam = decay_factor(channel, t) * params.q
     rho = analytic_evolve(params, channel, t)
     rho[2, 1] = -(1.0 - lam) / 4.0
     return rho

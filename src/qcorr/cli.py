@@ -24,15 +24,10 @@ from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
-from .channels import ChannelSpec, analytic_evolve, integrate_rk4, kraus_apply
-from .dynamics import (
-    MEASURE_NAMES,
-    SweepGrid,
-    death_time,
-    sweep,
-    verify_suite,
-)
-from .measures import OptimizerSettings, closed_values, oracle_values
+from .channels import AXES, ChannelSpec, analytic_evolve, integrate_rk4, kraus_apply
+from .dynamics import SweepGrid, death_time, sweep, verify_suite
+from .linalg import QUBITS
+from .measures import MEASURE_NAMES, PAPER_MEASURES, OptimizerSettings, closed_values, oracle_values
 from .states import StateParams, initial_state, make_params, state_to_json
 
 __all__ = ["main", "build_parser"]
@@ -77,11 +72,22 @@ def _angle_token(token: str) -> str:
     return token
 
 
+def _tokens(text: str, kind: str, parse=str.strip, choices: Sequence[str] = (),
+            also: str = "") -> list:
+    """The comma-separated tokens of text that are not blank, each through
+    parse and, when choices are given, one of them; an empty list raises."""
+    items = [parse(tok) for tok in text.split(",") if tok.strip()]
+    for item in items:
+        if choices and item not in choices:
+            raise argparse.ArgumentTypeError(
+                f"unknown {kind} {item!r}; choose from {', '.join(choices)}{also}")
+    if not items:
+        raise argparse.ArgumentTypeError(f"empty {kind} list")
+    return items
+
+
 def _angle_list(text: str) -> list[float]:
-    angles = [parse_angle(tok) for tok in text.split(",") if tok.strip()]
-    if not angles:
-        raise argparse.ArgumentTypeError("empty angle list")
-    return angles
+    return _tokens(text, "angle", parse_angle)
 
 
 def _time_list(text: str) -> list[float]:
@@ -104,36 +110,19 @@ def _time_list(text: str) -> list[float]:
         n = int(math.floor(span + 1e-9)) + 1
         return [start + k * step for k in range(n)]
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
+        return _tokens(text, "time", float)
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse time list {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError("empty time list")
-    return values
 
 
 def _measure_list(text: str) -> list[str]:
     if text.strip() == "all":
         return list(MEASURE_NAMES)
-    names = [tok.strip() for tok in text.split(",") if tok.strip()]
-    for name in names:
-        if name not in MEASURE_NAMES:
-            raise argparse.ArgumentTypeError(
-                f"unknown measure {name!r}; choose from {', '.join(MEASURE_NAMES)} or 'all'"
-            )
-    if not names:
-        raise argparse.ArgumentTypeError("empty measure list")
-    return names
+    return _tokens(text, "measure", choices=MEASURE_NAMES, also=" or 'all'")
 
 
 def _axis_list(text: str) -> list[str]:
-    axes = [tok.strip() for tok in text.split(",") if tok.strip()]
-    for axis in axes:
-        if axis not in ("x", "y", "z"):
-            raise argparse.ArgumentTypeError(f"unknown axis {axis!r}; choose from x, y, z")
-    if not axes:
-        raise argparse.ArgumentTypeError("empty axis list")
-    return axes
+    return _tokens(text, "axis", choices=AXES)
 
 
 def _fmt(value: float, precision: int) -> str:
@@ -214,6 +203,16 @@ def _write_measured_state(
                   f" -> {'ok' if check['passed'] else 'FAIL'}\n")
 
 
+# evolve --method: each route's evolved state from (params, rho0, channel,
+# t, steps), and the route --check compares it with, at what tolerance; rk4
+# is checked against the exact map, the two exact routes against each other
+_ROUTES = {
+    "kraus": (lambda p, rho0, ch, t, n: kraus_apply(rho0, ch, t), "analytic", 1e-13),
+    "analytic": (lambda p, rho0, ch, t, n: analytic_evolve(p, ch, t), "kraus", 1e-13),
+    "rk4": (lambda p, rho0, ch, t, n: integrate_rk4(rho0, ch, t, steps=n), "analytic", 1e-8),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcorr",
@@ -229,11 +228,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
 
     def add_optimizer(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--grid-points", type=int, default=1024, metavar="N",
-                       help="sphere grid size (default 1024); its z > 0 half seeds the search")
-        p.add_argument("--opt-tol", type=float, default=1e-7, metavar="TOL",
+        defaults = OptimizerSettings()
+        p.add_argument("--grid-points", type=int, default=defaults.grid_points, metavar="N",
+                       help="sphere grid size (default %(default)s); its z > 0 half seeds"
+                       " the search")
+        p.add_argument("--opt-tol", type=float, default=defaults.final_tolerance, metavar="TOL",
                        help="compass-search step in radians at which the optimizer"
-                       " refinement stops (default 1e-7)")
+                       " refinement stops (default %(default)s)")
+
+    def add_channel(p: argparse.ArgumentParser, described: bool = False) -> None:
+        p.add_argument("--gamma", type=float, default=1.0, metavar="G",
+                       help="channel rate (default 1)" if described else None)
+        p.add_argument("--noisy-qubit", choices=QUBITS, default="B",
+                       help="which qubit the noise acts on (default B)" if described else None)
 
     p_state = sub.add_parser("state", help="build an initial family member and measure it")
     p_state.add_argument("--theta", required=True, type=_angle_token, metavar="ANGLE",
@@ -247,23 +254,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_evolve = sub.add_parser("evolve", help="evolve a family member and re-measure it")
     p_evolve.add_argument("--theta", required=True, type=parse_angle, metavar="ANGLE")
-    p_evolve.add_argument("--axis", "--channel", required=True, choices=("x", "y", "z"),
+    p_evolve.add_argument("--axis", "--channel", required=True, choices=AXES,
                           help="Pauli axis of the noise")
     p_evolve.add_argument("--time", "--t", required=True, type=float, metavar="T",
                           help="evolution time (gamma*t when --gamma is omitted)")
-    p_evolve.add_argument("--gamma", type=float, default=1.0, metavar="G",
-                          help="channel rate (default 1)")
-    p_evolve.add_argument("--noisy-qubit", choices=("A", "B"), default="B",
-                          help="which qubit the noise acts on (default B)")
-    p_evolve.add_argument("--method", choices=("kraus", "analytic", "rk4"), default="kraus",
+    add_channel(p_evolve, described=True)
+    p_evolve.add_argument("--method", choices=tuple(_ROUTES), default="kraus",
                           help="evolution route (default kraus)")
     p_evolve.add_argument("--steps", type=int, metavar="N",
                           help=f"step count for --method rk4 only (default"
                           f" {DEFAULT_RK4_STEPS}, at least gamma*t, at most {MAX_RK4_STEPS})")
     p_evolve.add_argument("--check", action="store_true",
                           help="append a cross-method deviation footer (exit 1 if over tolerance)")
-    p_evolve.add_argument("--measures", type=_measure_list,
-                          default=("concurrence", "geometric_discord", "quantum_discord"),
+    p_evolve.add_argument("--measures", type=_measure_list, default=PAPER_MEASURES,
                           metavar="LIST")
     add_optimizer(p_evolve)
     add_common(p_evolve)
@@ -278,12 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--tsteps", type=int, metavar="N",
                          help="number of time points for --tmax (>= 2)")
     p_sweep.add_argument("--axes", "--channels", "--channel", type=_axis_list,
-                         default=("x", "y", "z"), metavar="LIST")
-    p_sweep.add_argument("--measures", type=_measure_list,
-                         default=("concurrence", "geometric_discord", "quantum_discord"),
+                         default=AXES, metavar="LIST")
+    p_sweep.add_argument("--measures", type=_measure_list, default=PAPER_MEASURES,
                          metavar="LIST")
-    p_sweep.add_argument("--gamma", type=float, default=1.0, metavar="G")
-    p_sweep.add_argument("--noisy-qubit", choices=("A", "B"), default="B")
+    add_channel(p_sweep)
     p_sweep.add_argument("--oracle", action="store_true",
                          help="add an independently computed oracle column")
     add_optimizer(p_sweep)
@@ -291,11 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_death = sub.add_parser("deathtime", help="find a death time or half-life")
     p_death.add_argument("--theta", required=True, type=parse_angle, metavar="ANGLE")
-    p_death.add_argument("--axis", "--channel", required=True, choices=("x", "y", "z"))
-    p_death.add_argument("--gamma", type=float, default=1.0, metavar="G")
-    p_death.add_argument("--noisy-qubit", choices=("A", "B"), default="B")
-    p_death.add_argument("--measure", choices=("concurrence", "geometric_discord", "quantum_discord"),
-                         default="concurrence")
+    p_death.add_argument("--axis", "--channel", required=True, choices=AXES)
+    add_channel(p_death)
+    p_death.add_argument("--measure", choices=PAPER_MEASURES, default="concurrence")
     add_common(p_death)
 
     p_verify = sub.add_parser("verify", help="run the internal consistency checks")
@@ -309,13 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_state(args: argparse.Namespace, out: TextIO) -> int:
     theta = math.radians(args.theta) if args.degrees else args.theta
     params = make_params(theta)
-    q = 1.0 - 4.0 * params.eta
     p = args.precision
     _write_measured_state(
         args, out, initial_state(params), params, None, 0.0,
-        {"theta": params.theta, "eta": params.eta, "xi": params.xi, "q": q},
+        {"theta": params.theta, "eta": params.eta, "xi": params.xi, "q": params.q},
         f"theta = {_fmt(params.theta, p)}  (eta = {_fmt(params.eta, p)},"
-        f" xi = {_fmt(params.xi, p)}, q = {_fmt(q, p)})\ndensity matrix:\n",
+        f" xi = {_fmt(params.xi, p)}, q = {_fmt(params.q, p)})\ndensity matrix:\n",
     )
     return 0
 
@@ -324,22 +322,11 @@ def _cmd_evolve(args: argparse.Namespace, out: TextIO) -> int:
     params = make_params(args.theta)
     channel = ChannelSpec(axis=args.axis, gamma=args.gamma, qubit=args.noisy_qubit)
     rho0 = initial_state(params)
-    if args.method == "kraus":
-        rho = kraus_apply(rho0, channel, args.time)
-    elif args.method == "analytic":
-        rho = analytic_evolve(params, channel, args.time)
-    else:
-        rho = integrate_rk4(rho0, channel, args.time, steps=args.steps)
+    evolve, ref_name, tol = _ROUTES[args.method]
+    rho = evolve(params, rho0, channel, args.time, args.steps)
     check = None
     if args.check:
-        # rk4 is checked against the exact map; the two exact routes against
-        # each other
-        if args.method == "analytic":
-            reference, ref_name, tol = kraus_apply(rho0, channel, args.time), "kraus", 1e-13
-        elif args.method == "kraus":
-            reference, ref_name, tol = analytic_evolve(params, channel, args.time), "analytic", 1e-13
-        else:
-            reference, ref_name, tol = analytic_evolve(params, channel, args.time), "analytic", 1e-8
+        reference = _ROUTES[ref_name][0](params, rho0, channel, args.time, args.steps)
         deviation = float(np.max(np.abs(rho - reference)))
         check = {"reference": ref_name, "max_deviation": deviation,
                  "tolerance": tol, "passed": deviation <= tol}
@@ -493,7 +480,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 parser.error("--tmax must be finite and > 0, and --tsteps >= 2")
             if args.tsteps > MAX_TIME_POINTS:
                 parser.error(f"--tsteps must be at most {MAX_TIME_POINTS}")
-            args.times = [args.tmax * k / (args.tsteps - 1) for k in range(args.tsteps)]
+            # k/(N - 1) first, so the last time is T itself and no product overflows
+            args.times = [args.tmax * (k / (args.tsteps - 1)) for k in range(args.tsteps)]
         points = len(args.axes) * len(args.thetas) * len(args.times)
         if points > MAX_SWEEP_POINTS:
             parser.error(f"sweep grid has {points} (axis, theta, time) points,"

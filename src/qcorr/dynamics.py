@@ -21,6 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .channels import (
+    AXES,
     ChannelSpec,
     analytic_evolve,
     apply_pauli_channel,
@@ -31,7 +32,9 @@ from .channels import (
 )
 from .measures import (
     MEASURE_NAMES,
+    PAPER_MEASURES,
     OptimizerSettings,
+    _check_names,
     _triple_values,
     _wootters_scores,
     closed_values,
@@ -143,8 +146,8 @@ class SweepTable(Sequence):
 
 def sweep(
     grid: SweepGrid,
-    axes: Sequence[str] = ("x", "y", "z"),
-    measures: Sequence[str] = ("concurrence", "geometric_discord", "quantum_discord"),
+    axes: Sequence[str] = AXES,
+    measures: Sequence[str] = PAPER_MEASURES,
     gamma: float = 1.0,
     noisy_qubit: str = "B",
     include_oracle: bool = False,
@@ -213,11 +216,14 @@ def closed_death_time(params: StateParams, channel: ChannelSpec) -> Optional[flo
 
 
 def closed_death_time_trig(theta: float, gamma: float = 1.0) -> float:
-    """Equivalent trigonometric form (1/4 gamma) ln (1 - 2 csc^2 theta)^2."""
+    """Equivalent trigonometric form (1/4 gamma) ln (1 - 2 csc^2 theta)^2,
+    evaluated as (log1p(cos^2 theta) - 2 ln|sin theta|)/(2 gamma), which
+    stays finite for every theta with sin(theta) != 0, however small."""
     s = math.sin(theta)
     if s == 0.0:
         raise ValueError("theta with sin(theta) = 0 has no finite death time")
-    return math.log((1.0 - 2.0 / (s * s)) ** 2) / (4.0 * gamma)
+    c = math.cos(theta)
+    return (math.log1p(c * c) - 2.0 * math.log(abs(s))) / (2.0 * gamma)
 
 
 def death_time(
@@ -247,14 +253,10 @@ def death_time(
     one, however small; a discord that starts at exactly zero (theta = pi/2)
     gets "none".
     """
+    _check_names((measure,), PAPER_MEASURES)
     if measure == "concurrence":
         return _concurrence_death(params, channel)
-    if measure in ("geometric_discord", "quantum_discord"):
-        return _half_life(params, channel, measure)
-    raise ValueError(
-        f"unknown measure {measure!r}; choose from ['concurrence', 'geometric_discord',"
-        " 'quantum_discord']"
-    )
+    return _half_life(params, channel, measure)
 
 
 def _ladder(g: Callable[[np.ndarray], np.ndarray], gamma: float) -> dict[float, float]:
@@ -419,17 +421,15 @@ def verify_suite(quick: bool = False, optimizer: OptimizerSettings | None = None
     t0 = _time.perf_counter()
     checks: list[VerifyCheck] = []
     thetas, times = _verify_grid(quick)
-    axes = ("x", "y", "z")
-    channels = {axis: ChannelSpec(axis=axis) for axis in axes}
-    names = ("concurrence", "geometric_discord", "quantum_discord")
+    channels = {axis: ChannelSpec(axis=axis) for axis in AXES}
 
     # closed forms against the general-purpose oracles, both read from one
     # sweep as arrays indexed [measure, axis, theta, time]
     grid = SweepGrid(tuple(thetas), tuple(times))
-    table = sweep(grid, axes, names, include_oracle=True, optimizer=optimizer)
+    table = sweep(grid, AXES, PAPER_MEASURES, include_oracle=True, optimizer=optimizer)
     err_c, err_g, err_q = np.abs(table.closed - table.oracle).max(axis=(1, 2, 3)).tolist()
     params = [make_params(theta) for theta in thetas]
-    analytic = np.array([analytic_evolve(params, channels[axis], times) for axis in axes])
+    analytic = np.array([analytic_evolve(params, channels[axis], times) for axis in AXES])
     err_v = float(np.abs(table.states - analytic).max())
     err_x = x_structure_defect(table.states)
     checks.append(_check("concurrence_closed_vs_oracle", err_c, 1e-9))
@@ -494,7 +494,7 @@ def verify_suite(quick: bool = False, optimizer: OptimizerSettings | None = None
                 - kraus_apply(rho0, channels[axis], t_int)
             ).max()
         )
-        for axis in axes
+        for axis in AXES
     )
     checks.append(_check("rk4_vs_exact_map", err_rk, 1e-8))
 
@@ -520,7 +520,7 @@ def verify_suite(quick: bool = False, optimizer: OptimizerSettings | None = None
 
     mixed = np.eye(4, dtype=complex) / 4.0
     err_fix = max(
-        float(np.abs(apply_pauli_channel(mixed, axis, 0.37) - mixed).max()) for axis in axes
+        float(np.abs(apply_pauli_channel(mixed, axis, 0.37) - mixed).max()) for axis in AXES
     )
     checks.append(_check("channel_fixes_maximally_mixed", err_fix, 1e-14))
 
@@ -528,8 +528,8 @@ def verify_suite(quick: bool = False, optimizer: OptimizerSettings | None = None
     t0_thetas = [0.05 + k * (math.pi / 2 - 0.1) / 19 for k in range(20)]
     trend_ok = True
     for side in (t0_thetas, [math.pi - th for th in t0_thetas]):
-        values = closed_values([make_params(th) for th in side], None, 0.0, names)
-        trend_ok = trend_ok and all(bool((np.diff(values[n]) < 0).all()) for n in names)
+        values = closed_values([make_params(th) for th in side], None, 0.0, PAPER_MEASURES)
+        trend_ok = trend_ok and all(bool((np.diff(v) < 0).all()) for v in values.values())
     checks.append(
         VerifyCheck(
             "initial_measures_peak_at_theta_zero_and_pi",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "QUBITS",
     "PAULI_I",
     "PAULI_X",
     "PAULI_Y",
@@ -24,6 +25,9 @@ __all__ = [
     "spectrum_entropy",
     "von_neumann_entropy",
 ]
+
+# the two tensor factors, in order: the first is qubit A, the second qubit B
+QUBITS = ("A", "B")
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -69,7 +73,7 @@ def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"partial_trace expects a 4x4 matrix, got shape {rho.shape}")
-    if keep not in ("A", "B"):
+    if keep not in QUBITS:
         raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
     r = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
     if keep == "A":

@@ -77,7 +77,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .channels import ChannelSpec, decay_factor, family_triple
-from .linalg import PAULI_Y, partial_trace, pauli_coefficients, spectrum_entropy
+from .linalg import PAULI_Y, QUBITS, partial_trace, pauli_coefficients, spectrum_entropy
 from .states import InvalidStateError, StateParams, validate_density_matrix
 
 __all__ = [
@@ -99,12 +99,12 @@ __all__ = [
     "quantum_discord_xz_expanded",
     "quantum_discord_y_expanded",
     "MEASURE_NAMES",
+    "PAPER_MEASURES",
     "closed_values",
     "oracle_values",
 ]
 
 _SPIN_FLIP = np.kron(PAULI_Y, PAULI_Y)
-_SIDE_NAMES = ("A", "B")
 
 
 @dataclass(frozen=True)
@@ -205,7 +205,7 @@ def uncorrected_x_concurrence(params: StateParams, channel: ChannelSpec, t: floa
     if channel.axis != "x":
         raise ValueError("the uncorrected variant is specific to the x axis")
     mu = decay_factor(channel, t)
-    lam = mu * (1.0 - 4.0 * params.eta)
+    lam = mu * params.q
     xi = params.xi
     return 0.5 * (mu + lam + 4.0 * (8.0 * xi * xi - 3.0 * xi + 1.0))
 
@@ -285,7 +285,7 @@ def quantum_discord_y_expanded(params: StateParams, channel: ChannelSpec, t: flo
     1 - h((1+lam)/2) identically for lam in [0, 1))."""
     if channel.axis != "y":
         raise ValueError("the log-ratio form covers the y axis only")
-    lam = decay_factor(channel, t) * (1.0 - 4.0 * params.eta)
+    lam = decay_factor(channel, t) * params.q
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"the log-ratio form requires lam in [0, 1), got {lam}")
     ln16 = math.log(16.0)
@@ -387,6 +387,15 @@ _TRIPLE_MEASURES = {
 }
 
 MEASURE_NAMES: tuple[str, ...] = tuple(_TRIPLE_MEASURES)
+# the three measures the paper compares, and the ones death_time follows
+PAPER_MEASURES = ("concurrence", "geometric_discord", "quantum_discord")
+
+
+def _check_names(names: Sequence[str], known: Sequence[str] = MEASURE_NAMES) -> None:
+    """Raise ValueError at the first of names that is not in known."""
+    for name in names:
+        if name not in known:
+            raise ValueError(f"unknown measure {name!r}; choose from {list(known)}")
 
 
 def closed_values(
@@ -404,9 +413,7 @@ def closed_values(
 def _triple_values(c: np.ndarray, names: Sequence[str]) -> dict[str, np.ndarray]:
     """Closed-form value of each named measure for every triple in a stack c
     of shape S + (3,), as arrays of shape S."""
-    for name in names:
-        if name not in _TRIPLE_MEASURES:
-            raise ValueError(f"unknown measure {name!r}; choose from {sorted(MEASURE_NAMES)}")
+    _check_names(names)
     return {name: _finalize(_TRIPLE_MEASURES[name](c)) for name in names}
 
 
@@ -639,7 +646,7 @@ class _Stack:
     computed once, on first use, for the whole stack."""
 
     def __init__(self, rho: np.ndarray, measured_side: str, settings: OptimizerSettings | None):
-        if measured_side not in _SIDE_NAMES:
+        if measured_side not in QUBITS:
             raise ValueError(f"measured_side must be 'A' or 'B', got {measured_side!r}")
         self.rho = rho
         self.measured = measured_side
@@ -655,7 +662,7 @@ class _Stack:
         """S(AB), S(A) and S(B), each from one batched eigvalsh, largest
         eigenvalue first."""
         spectra = {"AB": np.linalg.eigvalsh(self.rho)}
-        for side in _SIDE_NAMES:
+        for side in QUBITS:
             spectra[side] = np.linalg.eigvalsh(partial_trace(self.rho, side))
         return {key: spectrum_entropy(w[:, ::-1]) for key, w in spectra.items()}
 
@@ -711,9 +718,7 @@ def oracle_values(
     quantum_discord and classical_correlation.  Each state's values are bit
     for bit those it gets on its own.
     """
-    for name in names:
-        if name not in MEASURE_NAMES:
-            raise ValueError(f"unknown measure {name!r}")
+    _check_names(names)
     rho = validate_density_matrix(rho)
     stack = rho.reshape(-1, 4, 4)
     parts = []

@@ -50,6 +50,11 @@ class StateParams:
     eta: float
     xi: float
 
+    @property
+    def q(self) -> float:
+        """1 - 4 eta = cos^2 theta, the magnitude of the initial c1 and c3."""
+        return 1.0 - 4.0 * self.eta
+
 
 def make_params(theta: float) -> StateParams:
     """Build StateParams from an angle in radians.
@@ -168,7 +173,7 @@ def state_from_json(data: dict) -> np.ndarray:
     try:
         re = np.asarray(data["re"], dtype=float)
         im = np.asarray(data["im"], dtype=float)
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"re and im must hold numbers: {exc}") from None
     if re.size != 16 or im.size != 16:
         raise ValueError("re and im must each hold 16 entries")

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from qcorr import cli
+from qcorr.channels import ChannelSpec, analytic_evolve, integrate_rk4, kraus_apply
 from qcorr.cli import (
+    DEFAULT_RK4_STEPS,
     MAX_RK4_STEPS,
     MAX_SWEEP_POINTS,
     MAX_TIME_POINTS,
@@ -17,6 +19,8 @@ from qcorr.cli import (
     main,
     parse_angle,
 )
+from qcorr.measures import MEASURE_NAMES, OptimizerSettings
+from qcorr.states import initial_state, make_params, state_to_json
 
 
 def run(capsys, *argv):
@@ -167,6 +171,30 @@ def test_evolve_check_footer(capsys):
     assert check["max_deviation"] <= 1e-14
 
 
+@pytest.mark.parametrize("method, reference, tolerance", [
+    ("kraus", "analytic", 1e-13),
+    ("analytic", "kraus", 1e-13),
+    ("rk4", "analytic", 1e-8),
+])
+def test_evolve_method_routes_and_check_references(capsys, method, reference, tolerance):
+    code, out = run(capsys, "evolve", "--theta", "0.9", "--axis", "x", "--time", "0.7",
+                    "--noisy-qubit", "A", "--method", method, "--check", "--json",
+                    "--measures", "concurrence")
+    assert code == 0
+    payload = json.loads(out)
+    params, channel = make_params(0.9), ChannelSpec(axis="x", qubit="A")
+    rho0 = initial_state(params)
+    expected = {
+        "kraus": lambda: kraus_apply(rho0, channel, 0.7),
+        "analytic": lambda: analytic_evolve(params, channel, 0.7),
+        "rk4": lambda: integrate_rk4(rho0, channel, 0.7, steps=DEFAULT_RK4_STEPS),
+    }[method]()
+    assert payload["method"] == method
+    assert payload["state"] == state_to_json(expected)
+    check = payload["check"]
+    assert (check["reference"], check["tolerance"], check["passed"]) == (reference, tolerance, True)
+
+
 def test_sweep_csv_format(capsys):
     code, out = run(capsys, "sweep", "--thetas", "pi/8,pi/4", "--times", "0:1:0.5",
                     "--axes", "x", "--measures", "concurrence")
@@ -227,6 +255,18 @@ def test_sweep_tmax_tsteps_grid(capsys):
     # y noise never kills the entanglement on this family
     values = [float(line.split(",")[4]) for line in lines[1:]]
     assert min(values) > 0.0
+
+
+@pytest.mark.parametrize("tmax, tsteps", [(0.1, 4), (1e308, 3)])
+def test_sweep_tmax_grid_ends_at_tmax(capsys, tmax, tsteps):
+    # T k/(N - 1) ended at 0.10000000000000002 and overflowed to inf at 1e308
+    code, out = run(capsys, "sweep", "--thetas", "pi/4", "--axes", "z", "--measures",
+                    "concurrence", "--tmax", repr(tmax), "--tsteps", str(tsteps),
+                    "--precision", "17")
+    assert code == 0
+    gamma_ts = [float(line.split(",")[3]) for line in out.strip().splitlines()[1:]]
+    assert len(gamma_ts) == tsteps
+    assert gamma_ts[0] == 0.0 and gamma_ts[-1] == tmax
 
 
 def test_sweep_time_flags_are_exclusive():
@@ -539,3 +579,39 @@ def test_help_exits_cleanly(capsys):
         main(["--help"])
     assert err.value.code == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["state", "evolve", "sweep", "deathtime", "verify"])
+def test_every_subcommand_help_renders_with_the_optimizer_defaults(capsys, command):
+    # help strings are %-formatted only when rendered, so each one is rendered
+    with pytest.raises(SystemExit) as err:
+        main([command, "--help"])
+    assert err.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    defaults = OptimizerSettings()
+    optimizer_help = [f"(default {defaults.grid_points});", f"(default {defaults.final_tolerance})"]
+    assert [shown in text for shown in optimizer_help] == [command != "deathtime"] * 2
+
+
+def test_optimizer_flags_default_to_the_optimizer_settings():
+    for command in (["state", "--theta", "1"], ["verify"]):
+        args = build_parser().parse_args(command)
+        assert OptimizerSettings(args.grid_points, args.opt_tol) == OptimizerSettings()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--thetas", "pi/4,zz", "cannot parse angle 'zz'"),
+    ("--times", " , ", "empty time list"),
+    ("--times", "0,x", "cannot parse time list '0,x'"),
+    ("--axes", "x,w", "unknown axis 'w'; choose from x, y, z"),
+    ("--axes", ",", "empty axis list"),
+    ("--measures", "concurrence,bogus",
+     f"unknown measure 'bogus'; choose from {', '.join(MEASURE_NAMES)} or 'all'"),
+    ("--measures", ",", "empty measure list"),
+])
+def test_list_options_keep_their_messages(capsys, flag, value, message):
+    argv = {"--thetas": "pi/4", "--times": "0", flag: value}
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", *(token for pair in argv.items() for token in pair)])
+    assert err.value.code == 2
+    assert f": {message}\n" in capsys.readouterr().err

@@ -18,6 +18,7 @@ from qcorr.dynamics import (
     verify_suite,
 )
 from qcorr.measures import (
+    PAPER_MEASURES,
     _wootters_scores,
     closed_values,
     concurrence,
@@ -319,6 +320,14 @@ def test_death_time_rejects_unknown_measure():
         death_time(make_params(1.0), ChannelSpec(axis="z"), measure="entropy")
 
 
+@pytest.mark.parametrize("name", ["entropy", "mutual_information"])
+def test_death_time_names_the_paper_measures_it_follows(name):
+    # a measure closed_values knows is still not one death_time follows
+    with pytest.raises(ValueError) as err:
+        death_time(make_params(1.0), ChannelSpec(axis="z"), measure=name)
+    assert str(err.value) == f"unknown measure {name!r}; choose from {list(PAPER_MEASURES)}"
+
+
 def sequential_death_time(params, channel, measure):
     """The plain search death_time must reproduce bit for bit: doubling from
     t = 1/gamma, then bisection to a width of 1e-10 max(1/gamma, hi), with
@@ -430,6 +439,26 @@ def test_closed_death_time_forms_agree():
     assert closed_death_time(make_params(0.0), ChannelSpec(axis="z")) is None
     with pytest.raises(ValueError):
         closed_death_time_trig(0.0)
+
+
+@pytest.mark.parametrize("theta", [1e-3, 1e-20, 1e-77, 1e-78, 1e-120, 1e-150])
+def test_trig_death_time_stays_finite_and_agrees_at_small_angles(theta):
+    # the squared form overflowed below |sin theta| ~ 1e-77 and divided by
+    # zero below ~1e-162; both closed forms are exact down to eta = 2.5e-301
+    for angle in (theta, math.pi - theta):
+        expected = closed_death_time(make_params(angle), ChannelSpec(axis="z"))
+        assert closed_death_time_trig(angle) == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("theta", [1e-163, 1e-200, 1e-300, 5e-324])
+def test_trig_death_time_below_the_float_range_of_eta(theta):
+    # sin^2 theta underflows, so closed_death_time has no eta to read; the
+    # trig form is (ln 2 - 2 ln theta)/2 to rounding, for either sign of theta
+    for angle in (theta, -theta):
+        assert closed_death_time_trig(angle) == pytest.approx(
+            (math.log(2.0) - 2.0 * math.log(theta)) / 2.0, rel=1e-15)
+    assert closed_death_time_trig(theta, gamma=4.0) == pytest.approx(
+        closed_death_time_trig(theta) / 4.0, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

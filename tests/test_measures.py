@@ -790,6 +790,17 @@ def test_oracle_values_share_one_optimizer_run():
         oracle_values(rho, ["nope"])
 
 
+@pytest.mark.parametrize("evaluate", [
+    lambda names: closed_values(make_params(0.9), ChannelSpec(axis="z"), 0.4, names),
+    lambda names: oracle_values(initial_state(0.9), names),
+    lambda names: oracle_values(np.stack([initial_state(0.9)] * 2), names),
+], ids=["closed_values", "oracle_values", "oracle_values_stack"])
+def test_unknown_measure_names_share_one_message(evaluate):
+    with pytest.raises(ValueError) as err:
+        evaluate(("concurrence", "nope"))
+    assert str(err.value) == f"unknown measure 'nope'; choose from {list(MEASURE_NAMES)}"
+
+
 def test_oracle_sweep_rows_match_per_measure_oracles():
     grid = SweepGrid(thetas=(0.4, 2.2), times=(0.0, 0.7))
     rows = sweep(grid, axes=("x", "y"), measures=MEASURE_NAMES, include_oracle=True)

@@ -152,6 +152,8 @@ def test_json_rejects_invalid_payload():
     [],
     None,
     {"dim": 4, "re": [{}] * 16, "im": [0.0] * 16},
+    # a JSON integer too large for a float
+    {"dim": 4, "re": [10**400] + [0.0] * 15, "im": [0.0] * 16},
 ])
 def test_json_malformed_payload_raises_value_error(payload):
     with pytest.raises(ValueError, match="JSON object|'re' and 'im'|must hold numbers"):
