@@ -108,7 +108,11 @@ def _time_list(text: str) -> list[float]:
                 f"time range {text!r} has more than {MAX_TIME_POINTS} points"
             )
         n = int(math.floor(span + 1e-9)) + 1
-        return [start + k * step for k in range(n)]
+        times = [start + k * step for k in range(n)]
+        if n > 1 and abs(span - (n - 1)) <= 1e-9:
+            # a whole number of steps: end at stop itself, not start + k step
+            times[-1] = stop
+        return times
     try:
         return _tokens(text, "time", float)
     except ValueError:

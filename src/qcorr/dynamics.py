@@ -209,8 +209,14 @@ class DeathTimeResult:
 
 def closed_death_time(params: StateParams, channel: ChannelSpec) -> Optional[float]:
     """(1/gamma) ln sqrt(xi/eta) for the x and z axes; None when no finite
-    death exists (y axis, or eta = 0)."""
-    if channel.axis == "y" or params.eta <= 0.0:
+    death exists (y axis, or sin theta = 0).  Below |sin theta| of about
+    1e-162, eta = sin^2(theta)/4 underflows to 0 although the death time is
+    finite, so there it is closed_death_time_trig's."""
+    if channel.axis == "y":
+        return None
+    if params.eta == 0.0 and math.sin(params.theta) != 0.0:
+        return closed_death_time_trig(params.theta, channel.gamma)
+    if params.eta <= 0.0:
         return None
     return math.log(math.sqrt(params.xi / params.eta)) / channel.gamma
 
@@ -556,6 +562,22 @@ def verify_suite(quick: bool = False, optimizer: OptimizerSettings | None = None
     base = quantum_discord(rho_ref, settings=OptimizerSettings(grid_points=1024)).value
     dense = quantum_discord(rho_ref, settings=OptimizerSettings(grid_points=2048)).value
     checks.append(_check("optimizer_grid_doubling_stable", abs(base - dense), 1e-6))
+
+    # the oracle discord at and just around the sudden change t_sc =
+    # ln(1/q)/(2 gamma) (gamma = 1), where the conditional entropy's valley
+    # is flat
+    states, closed = [], []
+    for theta in (0.9, 2.0):
+        params = make_params(theta)
+        t_sc = math.log(1.0 / params.q) / 2.0
+        near = [t_sc + offset for offset in (-1e-5, -1e-6, 0.0, 1e-6)]
+        for axis in ("x", "z"):
+            states.append(kraus_apply(initial_state(params), channels[axis], near))
+            closed.append(closed_values(params, channels[axis], near, ("quantum_discord",)))
+    oracle = oracle_values(np.concatenate(states), ("quantum_discord",), optimizer)
+    err_sc = float(np.abs(oracle["quantum_discord"]
+                          - np.concatenate([c["quantum_discord"] for c in closed])).max())
+    checks.append(_check("discord_oracle_near_sudden_change", err_sc, 1e-12))
 
     # retained faulty variants must stay visibly broken
     params_small = make_params(0.01)

@@ -119,13 +119,25 @@ class MeasureResult:
 MAX_GRID_POINTS = 2**20
 # compass rounds after which the sphere search stops regardless
 _MAX_ROUNDS = 400
+# rounds after which a successful compass move doubles the step, up to
+# _MAX_STEP rad
+_GROW_AFTER = 40
+_MAX_STEP = 1.0
 
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Knobs for the measurement-sphere search; bad values raise ValueError."""
+    """Knobs for the measurement-sphere search; bad values raise ValueError.
 
-    grid_points: int = 1024
+    grid_points sizes the Fibonacci-sphere grid whose z > 0 half seeds the
+    compass search, from 32 to MAX_GRID_POINTS.  The default 64 (32 seed
+    directions) is the smallest size that, with the next size down, finds
+    the best minimum within 1e-12 on random states of ranks 1-4, rotated
+    Bell-diagonal states away from degeneracy and the family near its
+    sudden change, with no run at the round cap.  final_tolerance is the
+    step, in radians, at or below which the search stops."""
+
+    grid_points: int = 64
     final_tolerance: float = 1e-7
 
     def __post_init__(self) -> None:
@@ -142,9 +154,11 @@ class OptimizerDiagnostics:
     """Where the sphere search ended up and how hard it worked.
 
     grid_points counts the seed directions evaluated, the z > 0 half of the
-    settings' sphere; refinement_iterations counts compass rounds;
-    evaluations counts objective evaluations, grid_points + 8 per round;
-    final_window is the step in radians of the last round."""
+    settings' sphere; refinement_iterations counts compass rounds, and 400
+    (the round cap) marks a run that stopped before its step fell to the
+    tolerance, whose value may sit above the minimum; evaluations counts
+    objective evaluations, grid_points + 8 per round; final_window is the
+    step in radians of the last round."""
 
     best_direction: tuple[float, float, float]
     grid_points: int
@@ -478,8 +492,9 @@ def _fibonacci_hemisphere(n: int) -> np.ndarray:
 
 
 # the grid is evaluated for at most this many (state, direction) pairs at
-# once (four states of the default grid); blocks of 8,192 ran a 108-state
-# sweep about 25% slower and raised its peak memory by 2.5 MB
+# once (64 states of the default 32 seed directions, four of a 1,024-point
+# grid); blocks of 8,192 ran a 108-state sweep about 25% slower and raised
+# its peak memory by 2.5 MB
 _GRID_BLOCK = 2048
 _OUTCOME_SIGNS = np.array([1.0, -1.0])
 
@@ -557,7 +572,7 @@ def _optimize(
     final_window = np.empty(n)
     rounds = np.zeros(n, dtype=int)
     running = np.ones(n, dtype=bool)
-    for _ in range(_MAX_ROUNDS):
+    for done in range(_MAX_ROUNDS):
         rows = np.flatnonzero(running)
         d, s = direction[rows], step[rows]
         # a tangent basis at d, crossed with whichever of x and y is far from d
@@ -573,7 +588,11 @@ def _optimize(
         direction[rows[moved]] = candidates[moved, k[moved]]
         value[rows[moved]] = best[moved]
         final_window[rows] = s
-        step[rows] = np.where(moved, s, s / 4.0)
+        # every running state has done the same number of rounds; a run still
+        # going past _GROW_AFTER creeps along a flat valley, so its moves
+        # double the step from then on
+        grown = np.minimum(2.0 * s, _MAX_STEP) if done >= _GROW_AFTER else s
+        step[rows] = np.where(moved, grown, s / 4.0)
         rounds[rows] += 1
         running[rows] = step[rows] > settings.final_tolerance
         if not running.any():
@@ -606,11 +625,13 @@ def optimal_conditional_entropy(
     seed a compass search on the sphere.  Each round evaluates the eight
     points normalize(n + s(cos(k pi/4) e1 + sin(k pi/4) e2)) around the
     current n, with (e1, e2) a tangent basis at n, moves to the best of them
-    if it is strictly lower and otherwise divides the step s by 4.  The step
-    starts at 3.6/sqrt(grid_points) rad, and the search stops once it is at
-    most settings.final_tolerance rad, or after 400 rounds.  An outcome with
-    probability below 1e-14 contributes zero.  Ties resolve to the first
-    point: the lexicographically smallest grid direction, the lowest k.
+    if it is strictly lower and otherwise divides the step s by 4; after 40
+    rounds a move also doubles s, up to 1 rad, so a run creeping along a
+    flat valley speeds up.  The step starts at 3.6/sqrt(grid_points) rad,
+    and the search stops once it is at most settings.final_tolerance rad, or
+    after 400 rounds.  An outcome with probability below 1e-14 contributes
+    zero.  Ties resolve to the first point: the lexicographically smallest
+    grid direction, the lowest k.
     """
     return _single_oracle("conditional_entropy", rho, measured_side, settings)
 

@@ -269,6 +269,23 @@ def test_sweep_tmax_grid_ends_at_tmax(capsys, tmax, tsteps):
     assert gamma_ts[0] == 0.0 and gamma_ts[-1] == tmax
 
 
+@pytest.mark.parametrize("times, count, stop", [("0:0.3:0.1", 4, 0.3), ("0:0.7:0.1", 8, 0.7)])
+def test_sweep_time_range_ends_at_stop(capsys, times, count, stop):
+    # start + k step ended at 0.30000000000000004 and 0.7000000000000001
+    code, out = run(capsys, "sweep", "--thetas", "pi/4", "--axes", "z", "--measures",
+                    "concurrence", "--times", times, "--precision", "17")
+    assert code == 0
+    gamma_ts = [float(line.split(",")[3]) for line in out.strip().splitlines()[1:]]
+    assert len(gamma_ts) == count
+    assert gamma_ts[0] == 0.0 and gamma_ts[-1] == stop
+    assert gamma_ts == sorted(gamma_ts)
+
+
+def test_time_range_short_of_a_whole_step_keeps_its_last_point():
+    # 1/0.3 is not a whole number of steps, so the range stops short of 1
+    assert cli._time_list("0:1:0.3") == [0.0, 0.3, 0.6, 0.3 * 3]
+
+
 def test_sweep_time_flags_are_exclusive():
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--thetas", "pi/4", "--times", "0,1", "--tmax", "2", "--tsteps", "5"])

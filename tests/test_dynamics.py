@@ -452,8 +452,9 @@ def test_trig_death_time_stays_finite_and_agrees_at_small_angles(theta):
 
 @pytest.mark.parametrize("theta", [1e-163, 1e-200, 1e-300, 5e-324])
 def test_trig_death_time_below_the_float_range_of_eta(theta):
-    # sin^2 theta underflows, so closed_death_time has no eta to read; the
-    # trig form is (ln 2 - 2 ln theta)/2 to rounding, for either sign of theta
+    # sin^2 theta underflows, so eta is 0 and closed_death_time falls back
+    # on the trig form, which is (ln 2 - 2 ln theta)/2 to rounding, for
+    # either sign of theta
     for angle in (theta, -theta):
         assert closed_death_time_trig(angle) == pytest.approx(
             (math.log(2.0) - 2.0 * math.log(theta)) / 2.0, rel=1e-15)
@@ -608,6 +609,21 @@ def test_oracle_sweep_hands_back_its_states():
             assert none.oracle.shape == (0, 3, 2, 3) and none.states.shape == (3, 2, 3, 4, 4)
 
 
+def test_verify_checks_the_discord_oracle_near_the_sudden_change(monkeypatch):
+    # 16 states within 1e-5 decay times of t_sc, where the compass search
+    # crept to its round cap before its steps could grow
+    def near(report):
+        (check,) = [c for c in report.checks if c.check_id == "discord_oracle_near_sudden_change"]
+        return check
+
+    for quick in (True, False):
+        check = near(verify_suite(quick=quick))
+        assert check.status == "pass" and check.tolerance == 1e-12
+        assert check.max_error <= 1e-15
+    monkeypatch.setattr(measures, "_GROW_AFTER", measures._MAX_ROUNDS)
+    assert near(verify_suite(quick=True)).status == "fail"
+
+
 @pytest.mark.parametrize(
     "column, measure",
     [
@@ -630,3 +646,19 @@ def test_every_x_and_z_term_is_checked(monkeypatch, column, measure):
     monkeypatch.setattr(dynamics, "sweep", nudged)
     statuses = {c.check_id: c.status for c in verify_suite(quick=True).checks}
     assert statuses["x_and_z_axes_agree"] == "fail"
+
+
+@pytest.mark.parametrize("theta", [1e-163, 1e-200])
+def test_closed_death_time_is_finite_where_eta_underflows(theta):
+    # eta = sin^2(theta)/4 is 0 below |sin theta| ~ 1e-162, where this
+    # returned None although the family still dies at a finite time
+    assert make_params(theta).eta == 0.0
+    for angle in (theta, -theta):
+        for axis in ("x", "z"):
+            for gamma in (1.0, 4.0):
+                got = closed_death_time(make_params(angle), ChannelSpec(axis=axis, gamma=gamma))
+                assert got == closed_death_time_trig(angle, gamma)
+    assert closed_death_time(make_params(theta), ChannelSpec(axis="y")) is None
+    if theta == 1e-163:
+        assert closed_death_time(make_params(theta), ChannelSpec(axis="z")) == pytest.approx(
+            375.66794374830937, rel=1e-15)

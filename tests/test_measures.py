@@ -657,6 +657,122 @@ def test_the_smallest_grids_find_the_brute_force_minimum_on_both_sides():
                 assert abs(values[i] - reference[i]) <= 1e-12, (side, grid_points, i)
 
 
+def _near_sudden_change():
+    """The family around its sudden change t_sc = ln(1/q)/2 (gamma = 1), where
+    the conditional entropy's valley is flat: five angles, x and z noise on
+    either qubit, and 25 times, t_sc and t_sc +- 10^k for 12 k from -1 to
+    -7; the states as one stack, with their closed discords."""
+    offsets = [0.0] + [sign * 10.0 ** k for sign in (-1.0, 1.0) for k in np.linspace(-1, -7, 12)]
+    states, closed = [], []
+    for theta in (0.5, 0.9, 1.2, 2.0, 2.6):
+        params = make_params(theta)
+        times = [math.log(1.0 / params.q) / 2.0 + offset for offset in offsets]
+        for axis in "xz":
+            for qubit in "AB":
+                channel = ChannelSpec(axis=axis, qubit=qubit)
+                states.append(kraus_apply(initial_state(params), channel, times))
+                closed.append(closed_values(params, channel, times, ("quantum_discord",)))
+    return np.concatenate(states), np.concatenate([c["quantum_discord"] for c in closed])
+
+
+_DEFAULT_GRID = OptimizerSettings().grid_points
+
+
+@pytest.mark.parametrize("grid_points", [_DEFAULT_GRID // 2, _DEFAULT_GRID, 1024])
+def test_the_discord_oracle_reaches_the_closed_form_near_the_sudden_change(grid_points):
+    # without the step growth, 102 of these 500 runs crept along the valley
+    # to the round cap at 1,024 points, up to 5.2e-6 above the closed
+    # discord, and 58 at 64 points, up to 1.2e-5 above
+    states, closed = _near_sudden_change()
+    settings = OptimizerSettings(grid_points=grid_points)
+    values = oracle_values(states, ("quantum_discord",), settings)["quantum_discord"]
+    np.testing.assert_allclose(values, closed, rtol=0.0, atol=1e-12)
+    for side in "AB":
+        _, diagnostics = _optimize(pauli_coefficients(states), side, settings)
+        assert max(d.refinement_iterations for d in diagnostics) < measures._MAX_ROUNDS, side
+
+
+def test_step_growth_changes_only_runs_past_40_rounds(monkeypatch):
+    states = np.concatenate(
+        [_near_sudden_change()[0], np.array(_random_states(50, 1998) + _family_states())])
+    stack = pauli_coefficients(states)
+    grown = {side: _optimize(stack, side, OptimizerSettings()) for side in "AB"}
+    grow_after, cap = measures._GROW_AFTER, measures._MAX_ROUNDS
+    monkeypatch.setattr(measures, "_GROW_AFTER", cap)
+    for side in "AB":
+        plain_values, plain_diagnostics = _optimize(stack, side, OptimizerSettings())
+        values, diagnostics = grown[side]
+        rounds = [d.refinement_iterations for d in plain_diagnostics]
+        # the corpus holds runs on both sides of round 40, and stalls without
+        # the growth
+        assert min(rounds) <= grow_after < max(rounds) == cap
+        for i, count in enumerate(rounds):
+            if count <= grow_after:
+                assert (values[i], diagnostics[i]) == (plain_values[i], plain_diagnostics[i])
+
+
+def _ranked_states(per_rank, seed):
+    """per_rank seeded states of each rank 1-4, G G† / tr(G G†) with G of
+    shape (4, rank)."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for rank in range(1, 5):
+        for _ in range(per_rank):
+            g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+            rho = g @ g.conj().T
+            states.append(rho / np.trace(rho).real)
+    return states
+
+
+def _rotated_bell_diagonal(n, seed):
+    """n seeded Bell-diagonal states (I + sum_k c_k sigma_k x sigma_k)/4 under
+    random local unitaries, each with its largest |c_k| at least 0.05 above
+    the next, and their minimal conditional entropies 1 - CC(c), which local
+    unitaries keep."""
+    rng = np.random.default_rng(seed)
+    paulis = (PAULI_X, PAULI_Y, PAULI_Z)
+    states, triples = [], []
+    while len(states) < n:
+        c = rng.uniform(-1.0, 1.0, 3)
+        _, mid, top = np.sort(np.abs(c))
+        weights = 1.0 + np.array([[-1, -1, -1], [1, -1, 1], [-1, 1, 1], [1, 1, -1]]) @ c
+        if top - mid < 0.05 or weights.min() < 1e-9:
+            continue
+        rho = (np.eye(4) + sum(ck * np.kron(p, p) for ck, p in zip(c, paulis))) / 4.0
+        units = []
+        for _ in "AB":
+            q = rng.normal(size=4)
+            a, b = complex(q[0], q[1]), complex(q[2], q[3])
+            units.append(np.array([[a, -b.conjugate()], [b, a.conjugate()]]) / np.linalg.norm(q))
+        u = np.kron(*units)
+        states.append(u @ rho @ u.conj().T)
+        triples.append(c)
+    cc = measures._triple_values(np.array(triples), ("classical_correlation",))
+    return np.array(states), 1.0 - cc["classical_correlation"]
+
+
+@pytest.fixture(scope="module")
+def grid_corpus():
+    ranked = _ranked_states(25, 2022)
+    rotated, rotated_minima = _rotated_bell_diagonal(40, 2023)
+    cases = []
+    for side in "AB":
+        cases.append((side, np.array(ranked), _reference_minima(ranked, side)))
+        cases.append((side, rotated, rotated_minima))
+    return cases
+
+
+@pytest.mark.parametrize("grid_points", [_DEFAULT_GRID // 2, _DEFAULT_GRID])
+def test_the_default_grid_and_half_of_it_find_the_best_minimum(grid_corpus, grid_points):
+    # random states of ranks 1-4 against the brute-force minima, rotated
+    # Bell-diagonal states against their closed minima; the family near its
+    # sudden change is tested above
+    settings = OptimizerSettings(grid_points=grid_points)
+    for side, states, minima in grid_corpus:
+        values, _ = _optimize(pauli_coefficients(states), side, settings)
+        np.testing.assert_allclose(values, minima, rtol=0.0, atol=1e-12, err_msg=side)
+
+
 def test_best_direction_follows_the_dominant_correlation_axis():
     # theta = 0.9, gamma = 1: the discord is frozen along y until the sudden
     # change at t_sc = ln(1/cos^2 theta)/2 = 0.4754, then decays along the
