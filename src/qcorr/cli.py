@@ -36,8 +36,11 @@ __all__ = ["main", "build_parser"]
 MAX_TIME_POINTS = 100_000
 # most (axis, theta, time) points one sweep may ask for (closed forms only,
 # all five measures at --precision 17: about 5.6 s, a 127 MB peak and a
-# 384 MB CSV on a 2-core VM)
+# 384 MB CSV on a 2-core VM; --json writes its rows in blocks, so the same
+# sweep also peaks at 127 MB, in about 150 s, for 928 MB of JSON)
 MAX_SWEEP_POINTS = 1_000_000
+# sweep rows per json.dumps call of a --json sweep
+_JSON_BLOCK_ROWS = 256
 # most steps evolve --steps may ask for (rk4 squares its one-step propagator,
 # so this takes about 0.3 ms of it on a 2-core VM)
 MAX_RK4_STEPS = 1_000_000
@@ -359,8 +362,15 @@ def _cmd_sweep(args: argparse.Namespace, out: TextIO) -> int:
         optimizer=settings,
     )
     if args.json:
-        payload = [dataclasses.asdict(r) for r in table]
-        out.write(json.dumps(payload, indent=2) + "\n")
+        # the bytes of json.dumps(rows, indent=2), written a block of rows at
+        # a time so memory stays flat in the row count: each block's own
+        # dump less its opening "[\n  " and closing "\n]"
+        sep = "[\n  "
+        for start in range(0, len(table), _JSON_BLOCK_ROWS):
+            rows = [dataclasses.asdict(r) for r in table[start:start + _JSON_BLOCK_ROWS]]
+            out.write(sep + json.dumps(rows, indent=2)[4:-2])
+            sep = ",\n  "
+        out.write("\n]\n")
         return 0
     # Each (measure, axis, theta) block is one %-format of a template that
     # holds the block's fixed text, each theta and gamma*t formatted once,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import time as _time
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -404,6 +404,10 @@ class VerifyReport:
         return all(c.status in ("pass", "expected_fail") for c in self.checks)
 
 
+# the unit-rate channels on qubit B that every check evolves under
+_CHANNELS = {axis: ChannelSpec(axis=axis) for axis in AXES}
+
+
 def _check(check_id: str, err: float, tol: float, detail: str = "") -> VerifyCheck:
     status = "pass" if err <= tol else "fail"
     return VerifyCheck(check_id, status, detail or f"max error {err:.3e}", err, tol)
@@ -423,29 +427,44 @@ def verify_suite(quick: bool = False, optimizer: OptimizerSettings | None = None
     oracle, two equivalent formulas, an invariance) or confirms a documented
     inconsistency in a retained faulty variant, which reports as
     "expected_fail".  quick=True shrinks the grids for a fast smoke run.
+    The checks come from eight check groups, each a generator of its
+    VerifyChecks that takes only what it reads, run in report order.
     """
     t0 = _time.perf_counter()
-    checks: list[VerifyCheck] = []
     thetas, times = _verify_grid(quick)
-    channels = {axis: ChannelSpec(axis=axis) for axis in AXES}
+    table = sweep(SweepGrid(tuple(thetas), tuple(times)), AXES, PAPER_MEASURES,
+                  include_oracle=True, optimizer=optimizer)
+    checks = (
+        *_closed_vs_oracle(table),
+        *_expanded_forms(quick),
+        *_esd_times(),
+        *_x_and_z_agree(table),
+        *_integrator_and_channel(),
+        *_trends(),
+        *_optimizer_robust(thetas, times, optimizer),
+        *_faulty_variants(),
+    )
+    return VerifyReport(checks=checks, runtime_seconds=_time.perf_counter() - t0)
 
-    # closed forms against the general-purpose oracles, both read from one
-    # sweep as arrays indexed [measure, axis, theta, time]
-    grid = SweepGrid(tuple(thetas), tuple(times))
-    table = sweep(grid, AXES, PAPER_MEASURES, include_oracle=True, optimizer=optimizer)
+
+def _closed_vs_oracle(table: SweepTable) -> Iterator[VerifyCheck]:
+    """Closed forms against the general-purpose oracles, both read from one
+    sweep as arrays indexed [measure, axis, theta, time], and the sweep's
+    Kraus-evolved states against the analytic matrix and the X shape."""
     err_c, err_g, err_q = np.abs(table.closed - table.oracle).max(axis=(1, 2, 3)).tolist()
-    params = [make_params(theta) for theta in thetas]
-    analytic = np.array([analytic_evolve(params, channels[axis], times) for axis in AXES])
-    err_v = float(np.abs(table.states - analytic).max())
-    err_x = x_structure_defect(table.states)
-    checks.append(_check("concurrence_closed_vs_oracle", err_c, 1e-9))
-    checks.append(_check("geometric_discord_closed_vs_oracle", err_g, 1e-10))
-    checks.append(_check("analytic_matrix_vs_kraus", err_v, 1e-13))
-    checks.append(_check("evolved_states_keep_x_shape", err_x, 1e-13))
-    checks.append(_check("quantum_discord_closed_vs_oracle", err_q, 1e-5))
+    params = [make_params(theta) for theta in table.thetas]
+    analytic = np.array([analytic_evolve(params, _CHANNELS[axis], table.gamma_ts)
+                         for axis in table.axes])
+    yield _check("concurrence_closed_vs_oracle", err_c, 1e-9)
+    yield _check("geometric_discord_closed_vs_oracle", err_g, 1e-10)
+    yield _check("analytic_matrix_vs_kraus", float(np.abs(table.states - analytic).max()), 1e-13)
+    yield _check("evolved_states_keep_x_shape", x_structure_defect(table.states), 1e-13)
+    yield _check("quantum_discord_closed_vs_oracle", err_q, 1e-5)
 
-    # the retained literal discord forms against the closed discord, drawn
-    # point by point and read from one stack of their triples
+
+def _expanded_forms(quick: bool) -> Iterator[VerifyCheck]:
+    """The retained literal discord forms against the closed discord, drawn
+    point by point and read from one stack of their triples."""
     rng = np.random.default_rng(20260822)
     n_pairs = 50 if quick else 200
     for suffix, form, count, theta_max in (
@@ -457,155 +476,132 @@ def verify_suite(quick: bool = False, optimizer: OptimizerSettings | None = None
             theta = float(rng.uniform(0.1, theta_max))
             t = float(rng.uniform(0.0, 3.0))
             axis = "y" if suffix == "y" else "x" if rng.integers(2) else "z"
-            draws.append((make_params(theta), channels[axis], t))
+            draws.append((make_params(theta), _CHANNELS[axis], t))
         c = np.array([family_triple(*draw) for draw in draws])
         closed = _triple_values(c, ("quantum_discord",))["quantum_discord"].tolist()
-        err_e = max(abs(form(*draw) - value) for draw, value in zip(draws, closed))
-        checks.append(_check(f"discord_expanded_form_identity_{suffix}", err_e, 1e-10))
+        err = max(abs(form(*draw) - value) for draw, value in zip(draws, closed))
+        yield _check(f"discord_expanded_form_identity_{suffix}", err, 1e-10)
 
-    # death times: the two closed forms, and bisection against them
-    esd_angles = (math.pi / 8, math.pi / 4, 3 * math.pi / 8, 5 * math.pi / 8)
+
+def _esd_times() -> Iterator[VerifyCheck]:
+    """Death times: the two closed forms, and bisection against them."""
     err_forms = err_root = 0.0
-    for theta in esd_angles:
+    for theta in (math.pi / 8, math.pi / 4, 3 * math.pi / 8, 5 * math.pi / 8):
         params = make_params(theta)
-        closed = closed_death_time(params, channels["z"])
+        closed = closed_death_time(params, _CHANNELS["z"])
         trig = closed_death_time_trig(theta)
         err_forms = max(err_forms, abs(closed - trig) / max(1e-300, abs(trig)))
         for axis in ("x", "z"):
-            found = death_time(params, channels[axis])
+            found = death_time(params, _CHANNELS[axis])
             if found.kind != "esd":
                 err_root = math.inf
                 break
             err_root = max(err_root, abs(found.time - closed) / max(1e-300, closed or 1.0))
-    checks.append(_check("esd_time_closed_forms_agree", err_forms, 1e-12))
-    checks.append(_check("esd_bisection_vs_closed_form", err_root, 1e-6))
+    yield _check("esd_time_closed_forms_agree", err_forms, 1e-12)
+    yield _check("esd_bisection_vs_closed_form", err_root, 1e-6)
 
-    # the x and z channels (axes 0 and 2) are indistinguishable on this
-    # family: every closed measure, and the concurrence and geometric discord
-    # oracles (measures 0 and 1)
-    err_xz = max(
+
+def _x_and_z_agree(table: SweepTable) -> Iterator[VerifyCheck]:
+    """The x and z channels (axes 0 and 2) are indistinguishable on this
+    family: every closed measure, and the concurrence and geometric discord
+    oracles (measures 0 and 1)."""
+    err = max(
         float(np.abs(table.closed[:, 0] - table.closed[:, 2]).max()),
         float(np.abs(table.oracle[:2, 0] - table.oracle[:2, 2]).max()),
     )
-    checks.append(_check("x_and_z_axes_agree", err_xz, 1e-9))
+    yield _check("x_and_z_axes_agree", err, 1e-9)
 
-    # integrator against the exact map
-    params = make_params(math.pi / 5)
-    rho0 = initial_state(params)
-    t_int = 3.0
+
+def _integrator_and_channel() -> Iterator[VerifyCheck]:
+    """The integrator against the exact map and its order of convergence,
+    then the channel's semigroup property and maximally mixed fixed point."""
+    rho0 = initial_state(math.pi / 5)
+    x_noise = _CHANNELS["x"]
     err_rk = max(
-        float(
-            np.abs(
-                integrate_rk4(rho0, channels[axis], t_int, steps=1000)
-                - kraus_apply(rho0, channels[axis], t_int)
-            ).max()
-        )
-        for axis in AXES
+        float(np.abs(integrate_rk4(rho0, channel, 3.0, steps=1000)
+                     - kraus_apply(rho0, channel, 3.0)).max())
+        for channel in _CHANNELS.values()
     )
-    checks.append(_check("rk4_vs_exact_map", err_rk, 1e-8))
-
-    exact = kraus_apply(rho0, channels["x"], 1.0)
-    e40 = float(np.abs(integrate_rk4(rho0, channels["x"], 1.0, steps=40) - exact).max())
-    e80 = float(np.abs(integrate_rk4(rho0, channels["x"], 1.0, steps=80) - exact).max())
+    yield _check("rk4_vs_exact_map", err_rk, 1e-8)
+    exact = kraus_apply(rho0, x_noise, 1.0)
+    e40 = float(np.abs(integrate_rk4(rho0, x_noise, 1.0, steps=40) - exact).max())
+    e80 = float(np.abs(integrate_rk4(rho0, x_noise, 1.0, steps=80) - exact).max())
     order = math.log2(e40 / e80)
-    checks.append(
-        _check(
-            "rk4_convergence_order",
-            abs(order - 4.0),
-            0.3,
-            detail=f"measured order {order:.3f}",
-        )
-    )
-
-    # channel structure: semigroup property and the maximally mixed fixed point
-    rho_ab = kraus_apply(rho0, channels["x"], 0.4)
-    err_semi = float(
-        np.abs(kraus_apply(rho_ab, channels["x"], 0.9) - kraus_apply(rho0, channels["x"], 1.3)).max()
-    )
-    checks.append(_check("channel_semigroup_composition", err_semi, 1e-13))
-
+    yield _check("rk4_convergence_order", abs(order - 4.0), 0.3,
+                 detail=f"measured order {order:.3f}")
+    err_semi = float(np.abs(kraus_apply(kraus_apply(rho0, x_noise, 0.4), x_noise, 0.9)
+                            - kraus_apply(rho0, x_noise, 1.3)).max())
+    yield _check("channel_semigroup_composition", err_semi, 1e-13)
     mixed = np.eye(4, dtype=complex) / 4.0
     err_fix = max(
         float(np.abs(apply_pauli_channel(mixed, axis, 0.37) - mixed).max()) for axis in AXES
     )
-    checks.append(_check("channel_fixes_maximally_mixed", err_fix, 1e-14))
+    yield _check("channel_fixes_maximally_mixed", err_fix, 1e-14)
 
-    # t = 0 trends and the y axis floor
-    t0_thetas = [0.05 + k * (math.pi / 2 - 0.1) / 19 for k in range(20)]
+
+def _trends() -> Iterator[VerifyCheck]:
+    """The t = 0 trends in theta, and the y axis concurrence floor."""
+    half = [0.05 + k * (math.pi / 2 - 0.1) / 19 for k in range(20)]
     trend_ok = True
-    for side in (t0_thetas, [math.pi - th for th in t0_thetas]):
+    for side in (half, [math.pi - th for th in half]):
         values = closed_values([make_params(th) for th in side], None, 0.0, PAPER_MEASURES)
         trend_ok = trend_ok and all(bool((np.diff(v) < 0).all()) for v in values.values())
-    checks.append(
-        VerifyCheck(
-            "initial_measures_peak_at_theta_zero_and_pi",
-            "pass" if trend_ok else "fail",
-            "all three measures strictly decrease as theta moves toward pi/2 from either side",
-        )
+    yield VerifyCheck(
+        "initial_measures_peak_at_theta_zero_and_pi",
+        "pass" if trend_ok else "fail",
+        "all three measures strictly decrease as theta moves toward pi/2 from either side",
     )
-
-    rho_y = initial_state(make_params(math.pi / 3))
-    y_states = kraus_apply(rho_y, channels["y"], [0.5 * k for k in range(1, 11)])
+    y_states = kraus_apply(initial_state(math.pi / 3), _CHANNELS["y"],
+                           [0.5 * k for k in range(1, 11)])
     y_floor = float(oracle_values(y_states, ("concurrence",))["concurrence"].min())
-    checks.append(
-        VerifyCheck(
-            "y_axis_concurrence_stays_positive",
-            "pass" if y_floor > 0.0 else "fail",
-            f"minimum oracle concurrence {y_floor:.3e} over gamma t <= 5",
-        )
+    yield VerifyCheck(
+        "y_axis_concurrence_stays_positive",
+        "pass" if y_floor > 0.0 else "fail",
+        f"minimum oracle concurrence {y_floor:.3e} over gamma t <= 5",
     )
 
-    # optimizer robustness: doubling the seed grid must not move the answer
-    rho_ref = kraus_apply(
-        initial_state(make_params(thetas[len(thetas) // 2])), channels["x"], times[2]
-    )
+
+def _optimizer_robust(
+    thetas: list[float], times: list[float], optimizer: OptimizerSettings | None
+) -> Iterator[VerifyCheck]:
+    """Doubling the seed grid must not move the oracle discord, and it must
+    match the closed discord at and just around the sudden change t_sc =
+    ln(1/q)/(2 gamma) (gamma = 1), where the conditional entropy's valley
+    is flat."""
+    rho_ref = kraus_apply(initial_state(thetas[len(thetas) // 2]), _CHANNELS["x"], times[2])
     base = quantum_discord(rho_ref, settings=OptimizerSettings(grid_points=1024)).value
     dense = quantum_discord(rho_ref, settings=OptimizerSettings(grid_points=2048)).value
-    checks.append(_check("optimizer_grid_doubling_stable", abs(base - dense), 1e-6))
-
-    # the oracle discord at and just around the sudden change t_sc =
-    # ln(1/q)/(2 gamma) (gamma = 1), where the conditional entropy's valley
-    # is flat
+    yield _check("optimizer_grid_doubling_stable", abs(base - dense), 1e-6)
     states, closed = [], []
     for theta in (0.9, 2.0):
         params = make_params(theta)
         t_sc = math.log(1.0 / params.q) / 2.0
         near = [t_sc + offset for offset in (-1e-5, -1e-6, 0.0, 1e-6)]
         for axis in ("x", "z"):
-            states.append(kraus_apply(initial_state(params), channels[axis], near))
-            closed.append(closed_values(params, channels[axis], near, ("quantum_discord",)))
+            states.append(kraus_apply(initial_state(params), _CHANNELS[axis], near))
+            closed.append(closed_values(params, _CHANNELS[axis], near, ("quantum_discord",)))
     oracle = oracle_values(np.concatenate(states), ("quantum_discord",), optimizer)
     err_sc = float(np.abs(oracle["quantum_discord"]
                           - np.concatenate([c["quantum_discord"] for c in closed])).max())
-    checks.append(_check("discord_oracle_near_sudden_change", err_sc, 1e-12))
+    yield _check("discord_oracle_near_sudden_change", err_sc, 1e-12)
 
-    # retained faulty variants must stay visibly broken
-    params_small = make_params(0.01)
-    dev = abs(
-        uncorrected_x_concurrence(params_small, channels["x"], 0.0)
-        - concurrence(initial_state(params_small)).value
-    )
-    checks.append(
-        VerifyCheck(
-            "uncorrected_x_concurrence",
-            "expected_fail" if dev >= 1.0 else "fail",
-            f"faulty closed form deviates from the oracle by {dev:.4f} (>= 1 expected)",
-            dev,
-            None,
-        )
-    )
 
-    params_y = make_params(math.pi / 4)
-    bad = uncorrected_y_matrix(params_y, channels["y"], 0.5)
+def _faulty_variants() -> Iterator[VerifyCheck]:
+    """The retained faulty variants must stay visibly broken."""
+    small = make_params(0.01)
+    dev = abs(uncorrected_x_concurrence(small, _CHANNELS["x"], 0.0)
+              - concurrence(initial_state(small)).value)
+    yield VerifyCheck(
+        "uncorrected_x_concurrence",
+        "expected_fail" if dev >= 1.0 else "fail",
+        f"faulty closed form deviates from the oracle by {dev:.4f} (>= 1 expected)",
+        dev,
+    )
+    bad = uncorrected_y_matrix(make_params(math.pi / 4), _CHANNELS["y"], 0.5)
     defect = float(np.abs(bad - bad.conj().T).max())
-    checks.append(
-        VerifyCheck(
-            "uncorrected_y_hermiticity",
-            "expected_fail" if defect > 1e-6 else "fail",
-            f"non-Hermitian by {defect:.4f}; the Hermitized variant is the one in use",
-            defect,
-            None,
-        )
+    yield VerifyCheck(
+        "uncorrected_y_hermiticity",
+        "expected_fail" if defect > 1e-6 else "fail",
+        f"non-Hermitian by {defect:.4f}; the Hermitized variant is the one in use",
+        defect,
     )
-
-    return VerifyReport(checks=tuple(checks), runtime_seconds=_time.perf_counter() - t0)

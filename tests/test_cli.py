@@ -1,8 +1,10 @@
 """Command-line behavior: parsing, output formats, exit codes."""
 import argparse
+import dataclasses
 import json
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,7 @@ from qcorr.cli import (
     main,
     parse_angle,
 )
+from qcorr.dynamics import SweepGrid, sweep
 from qcorr.measures import MEASURE_NAMES, OptimizerSettings
 from qcorr.states import initial_state, make_params, state_to_json
 
@@ -314,6 +317,28 @@ def test_sweep_out_file(tmp_path, capsys):
     lines = target.read_text().strip().splitlines()
     assert lines[0].startswith("channel,measure")
     assert len(lines) == 3
+
+
+def test_sweep_json_is_written_in_flat_memory(tmp_path):
+    # 3 axes x 20 thetas x 50 times, all five measures: 15,000 rows, about
+    # 2.8 MB of JSON; one json.dumps of every row peaked near 24 MB
+    target = tmp_path / "rows.json"
+    thetas = ",".join(repr(0.1 + 0.15 * k) for k in range(20))
+    argv = ["sweep", "--thetas", thetas, "--tmax", "3", "--tsteps", "50",
+            "--measures", "all", "--json", "--out", str(target)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    # the bytes of one json.dumps over every row, across many blocks
+    table = sweep(SweepGrid(tuple(0.1 + 0.15 * k for k in range(20)),
+                            tuple(3.0 * (k / 49) for k in range(50))), measures=MEASURE_NAMES)
+    rows = [dataclasses.asdict(r) for r in table]
+    assert len(rows) == 15_000
+    assert target.read_text(encoding="utf-8") == json.dumps(rows, indent=2) + "\n"
 
 
 def test_failing_command_leaves_an_existing_out_file_as_it_was(tmp_path, capsys):

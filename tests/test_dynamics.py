@@ -1,5 +1,7 @@
 """Sweeps, death-time root finding, and the verification suite."""
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -478,6 +480,51 @@ def test_verify_suite_quick_passes():
     assert statuses["uncorrected_y_hermiticity"] == "expected_fail"
     expected_fails = [c for c in report.checks if c.status == "expected_fail"]
     assert len(expected_fails) == 2
+
+
+# (check_id, status, tolerance) of every verify check, in report order; the
+# two checks without a tolerance also report no max_error
+VERIFY_SHAPE = [
+    ("concurrence_closed_vs_oracle", "pass", 1e-9),
+    ("geometric_discord_closed_vs_oracle", "pass", 1e-10),
+    ("analytic_matrix_vs_kraus", "pass", 1e-13),
+    ("evolved_states_keep_x_shape", "pass", 1e-13),
+    ("quantum_discord_closed_vs_oracle", "pass", 1e-5),
+    ("discord_expanded_form_identity_xz", "pass", 1e-10),
+    ("discord_expanded_form_identity_y", "pass", 1e-10),
+    ("esd_time_closed_forms_agree", "pass", 1e-12),
+    ("esd_bisection_vs_closed_form", "pass", 1e-6),
+    ("x_and_z_axes_agree", "pass", 1e-9),
+    ("rk4_vs_exact_map", "pass", 1e-8),
+    ("rk4_convergence_order", "pass", 0.3),
+    ("channel_semigroup_composition", "pass", 1e-13),
+    ("channel_fixes_maximally_mixed", "pass", 1e-14),
+    ("initial_measures_peak_at_theta_zero_and_pi", "pass", None),
+    ("y_axis_concurrence_stays_positive", "pass", None),
+    ("optimizer_grid_doubling_stable", "pass", 1e-6),
+    ("discord_oracle_near_sudden_change", "pass", 1e-12),
+    ("uncorrected_x_concurrence", "expected_fail", None),
+    ("uncorrected_y_hermiticity", "expected_fail", None),
+]
+WITHOUT_MAX_ERROR = {"initial_measures_peak_at_theta_zero_and_pi",
+                     "y_axis_concurrence_stays_positive"}
+
+
+@pytest.mark.parametrize("quick", [True, False])
+def test_verify_report_shape(quick):
+    # ids, order, statuses and tolerances; max_error values depend on the
+    # platform's LAPACK, so only their presence is pinned
+    checks = verify_suite(quick=quick).checks
+    assert [(c.check_id, c.status, c.tolerance) for c in checks] == VERIFY_SHAPE
+    assert {c.check_id for c in checks if c.max_error is None} == WITHOUT_MAX_ERROR
+
+
+def test_readme_verify_table_names_every_check():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Verify checks\n", 1)[1].split("\n## ", 1)[0]
+    # the id is the second column of each table row
+    ids = re.findall(r"^\|[^|\n]*\| `(\w+)` \|", section, re.MULTILINE)
+    assert ids == [c.check_id for c in verify_suite().checks]
 
 
 def test_verify_check_fields_are_filled():
