@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -37,7 +38,7 @@ MAX_TIME_POINTS = 100_000
 # most (axis, theta, time) points one sweep may ask for (closed forms only,
 # all five measures at --precision 17: about 5.6 s, a 127 MB peak and a
 # 384 MB CSV on a 2-core VM; --json writes its rows in blocks, so the same
-# sweep also peaks at 127 MB, in about 150 s, for 928 MB of JSON)
+# sweep also peaks at 127 MB, in about 40 s, for 928 MB of JSON)
 MAX_SWEEP_POINTS = 1_000_000
 # sweep rows per json.dumps call of a --json sweep
 _JSON_BLOCK_ROWS = 256
@@ -166,6 +167,12 @@ class _OutFile:
             self._file.truncate(0)
             self._pending = False
         return self._file.write(text)
+
+
+def _fields(obj) -> dict:
+    """A dataclass's fields by name, for json.dumps: the values themselves,
+    where dataclasses.asdict would deep-copy each one."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
 def _settings(args: argparse.Namespace) -> OptimizerSettings:
@@ -364,10 +371,20 @@ def _cmd_sweep(args: argparse.Namespace, out: TextIO) -> int:
     if args.json:
         # the bytes of json.dumps(rows, indent=2), written a block of rows at
         # a time so memory stays flat in the row count: each block's own
-        # dump less its opening "[\n  " and closing "\n]"
+        # dump less its opening "[\n  " and closing "\n]", with its rows
+        # read from the table's columns
+        labels = itertools.product(table.measures, table.axes, table.thetas, table.gamma_ts)
+        closed = table.closed.ravel()
+        oracle = None if table.oracle is None else table.oracle.ravel()
         sep = "[\n  "
         for start in range(0, len(table), _JSON_BLOCK_ROWS):
-            rows = [dataclasses.asdict(r) for r in table[start:start + _JSON_BLOCK_ROWS]]
+            block = slice(start, start + _JSON_BLOCK_ROWS)
+            values = closed[block].tolist()
+            oracles = [None] * len(values) if oracle is None else oracle[block].tolist()
+            rows = [{"channel": axis, "measure": measure, "theta": theta, "gamma_t": gamma_t,
+                     "value_closed": value, "value_oracle": value_oracle}
+                    for (measure, axis, theta, gamma_t), value, value_oracle
+                    in zip(itertools.islice(labels, len(values)), values, oracles)]
             out.write(sep + json.dumps(rows, indent=2)[4:-2])
             sep = ",\n  "
         out.write("\n]\n")
@@ -399,7 +416,7 @@ def _cmd_deathtime(args: argparse.Namespace, out: TextIO) -> int:
     result = death_time(params, channel, measure=args.measure)
     if args.json:
         payload = {"theta": params.theta, "axis": channel.axis, "gamma": channel.gamma,
-                   "measure": args.measure, **dataclasses.asdict(result)}
+                   "measure": args.measure, **_fields(result)}
         out.write(json.dumps(payload, indent=2) + "\n")
         return 0
     p = args.precision
@@ -423,7 +440,7 @@ def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
         payload = {
             "passed": report.passed,
             "runtime_seconds": report.runtime_seconds,
-            "checks": [dataclasses.asdict(c) for c in report.checks],
+            "checks": [_fields(c) for c in report.checks],
         }
         out.write(json.dumps(payload, indent=2) + "\n")
         return 0 if report.passed else 1

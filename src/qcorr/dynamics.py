@@ -25,6 +25,7 @@ from .channels import (
     ChannelSpec,
     analytic_evolve,
     apply_pauli_channel,
+    decay_factor,
     family_triple,
     integrate_rk4,
     kraus_apply,
@@ -73,10 +74,9 @@ _CERTIFY_MARGIN = -1e-6
 # the scaled certification margin is never closer to zero than this, far
 # above the rounding of the spin-flip score, so numerical zero never certifies
 _MARGIN_FLOOR = -1e-13
-# bisection steps per evaluation call: a spin-flip score costs about 11 us
-# per extra state in a stack, while extra closed-form points are nearly free
+# bisection steps per spin-flip score call once a predicted path has
+# missed: a call costs about 60 us plus about 6 us per state in its stack
 _SCORE_TREE_DEPTH = 3
-_CLOSED_TREE_DEPTH = 6
 
 
 # ---------------------------------------------------------------------------
@@ -244,20 +244,24 @@ def death_time(
     of 1e-10 decay times (1e-10 t for roots t past 1/gamma), so the relative
     accuracy does not depend on gamma.  The search is the plain doubling
     and bisection loop (see _crossing); it reads each score from a table
-    that one stacked call fills with the doubling times and each further
-    call with the midpoints of the next three bisection steps, so it gives
-    the results of scoring one time per call.  Both thresholds scale
-    with s = 1 - score(0), which is 2 (chi2 + chi3 + chi4) at t = 0 and
-    4 eta on the family, the depth the score sinks to past a death: the
-    search looks for the score falling to 1e-12 s, and the root is certified
-    as a finite death only if the score one decay time past it is at or
-    below min(-1e-6 s, -1e-13).  The fixed floor keeps a score that is zero
-    to rounding (theta = 0 or pi) from certifying.  The discords never reach
-    zero at finite time under these channels, so for them the result is the
-    half-life of the closed form instead, found by the same doubling and
-    bisection, six steps per closed_values call.  Every positive start has
-    one, however small; a discord that starts at exactly zero (theta = pi/2)
-    gets "none".
+    that one stacked call fills with the doubling times and the next call
+    with the midpoints the loop visits if the root lies where the secant in
+    mu = exp(-2 gamma t) puts it.  If that path misses, each further call
+    adds the midpoints of the next three steps.  So an x or z query at
+    theta = pi/4 makes 3 score calls, counting the one past the root, and
+    every query gives the results of scoring one time per call.  Both
+    thresholds scale with s = 1 - score(0), which is 2 (chi2 + chi3 + chi4)
+    at t = 0 and 4 eta on the family, the depth the score sinks to past a
+    death: the search looks for the score falling to 1e-12 s, and the root
+    is certified as a finite death only if the score one decay time past it
+    is at or below min(-1e-6 s, -1e-13).  The fixed floor keeps a score that
+    is zero to rounding (theta = 0 or pi) from certifying.  The discords
+    never reach zero at finite time under these channels, so for them the
+    result is the half-life of the closed form instead, found by the same
+    doubling and bisection, every closed_values call after the first taking
+    the predicted path from the current bracket: 5-6 calls at theta = pi/4.
+    Every positive start has one, however small; a discord that starts at
+    exactly zero (theta = pi/2) gets "none".
     """
     _check_names((measure,), PAPER_MEASURES)
     if measure == "concurrence":
@@ -278,8 +282,8 @@ def _ladder(g: Callable[[np.ndarray], np.ndarray], gamma: float) -> dict[float, 
 
 
 def _crossing(
-    g: Callable[[np.ndarray], np.ndarray], known: dict[float, float], gamma: float,
-    target: float, depth: int
+    g: Callable[[np.ndarray], np.ndarray], known: dict[float, float], channel: ChannelSpec,
+    target: float, depth: Optional[int]
 ) -> Optional[tuple[float, tuple[float, float], int]]:
     """Bracket the first time g falls to target or below by doubling from
     t = 1/gamma (None if it stays above up to gamma t = 50), then bisect
@@ -289,30 +293,37 @@ def _crossing(
 
     Every value is read from known, which maps time to value and starts as
     _ladder(g, gamma).  A midpoint missing from it triggers one g call over
-    the 2^depth - 1 midpoints the next depth steps may visit, formed as the
-    search forms them and trimmed to the steps still needed, so the result
-    is that of one g call per point to the last bit."""
-    decay_time, t_cap = 1.0 / gamma, _GAMMA_T_CAP / gamma
+    the midpoints of _predicted_path, every step left if the prediction
+    holds.  Once a path has missed, a depth given calls over the 2^depth - 1
+    midpoints the next depth steps may visit instead; depth None keeps
+    taking the path.  Points are formed as the search forms them, so the
+    result is that of one g call per point to the last bit."""
+    decay_time, t_cap = 1.0 / channel.gamma, _GAMMA_T_CAP / channel.gamma
     lo, hi = 0.0, decay_time
     while known[hi] > target:
         lo, hi = hi, 2.0 * hi
         if hi > t_cap:
             return None
-    iterations = 0
+    iterations, missed = 0, False
     while (hi - lo) > 1e-10 * max(decay_time, hi) and iterations <= 200:
         mid = 0.5 * (lo + hi)
         if mid not in known:
-            # the width halves each step, and the stop width is at least
-            # 1e-10 max(1/gamma, lo)
-            stop, steps = 1e-10 * max(decay_time, lo), 1
-            while steps < depth and (hi - lo) * 0.5 ** steps > stop:
-                steps += 1
-            bounds, mids = [(lo, hi)], []
-            for node in range(2 ** steps - 1):
-                a, b = bounds[node]
-                split = 0.5 * (a + b)
-                mids.append(split)
-                bounds += [(a, split), (split, b)]
+            if missed and depth is not None:
+                # the width halves each step, and the stop width is at least
+                # 1e-10 max(1/gamma, lo)
+                stop, steps = 1e-10 * max(decay_time, lo), 1
+                while steps < depth and (hi - lo) * 0.5 ** steps > stop:
+                    steps += 1
+                bounds, mids = [(lo, hi)], []
+                for node in range(2 ** steps - 1):
+                    a, b = bounds[node]
+                    split = 0.5 * (a + b)
+                    mids.append(split)
+                    bounds += [(a, split), (split, b)]
+            else:
+                mids = _predicted_path(lo, hi, known, channel, target)
+            # after the first call, a midpoint missing means a path missed
+            missed = True
             known.update(zip(mids, g(np.array(mids)).tolist()))
         iterations += 1
         if known[mid] > target:
@@ -320,6 +331,28 @@ def _crossing(
         else:
             hi = mid
     return 0.5 * (lo + hi), (lo, hi), iterations
+
+
+def _predicted_path(
+    lo: float, hi: float, known: dict[float, float], channel: ChannelSpec, target: float
+) -> list[float]:
+    """The midpoints bisection visits from (lo, hi) to its stop width if the
+    root lies where the secant through the bracket's values puts it, taken
+    in mu = exp(-2 gamma t).  The Kraus-evolved state is affine in mu, and
+    so is its spin-flip score wherever the largest Bell weight stays the
+    same, so there the first path holds to the last step."""
+    mu_lo, mu_hi = decay_factor(channel, lo), decay_factor(channel, hi)
+    mu = mu_lo + (target - known[lo]) * (mu_hi - mu_lo) / (known[hi] - known[lo])
+    root = -math.log(mu) / (2.0 * channel.gamma) if mu > 0.0 else math.inf
+    mids = []
+    while (hi - lo) > 1e-10 * max(1.0 / channel.gamma, hi):
+        mid = 0.5 * (lo + hi)
+        mids.append(mid)
+        if root > mid:
+            lo = mid
+        else:
+            hi = mid
+    return mids
 
 
 def _concurrence_death(params: StateParams, channel: ChannelSpec) -> DeathTimeResult:
@@ -342,7 +375,7 @@ def _concurrence_death(params: StateParams, channel: ChannelSpec) -> DeathTimeRe
         return result("none", None, None, 0,
                       diagnostic="concurrence starts at zero and never turns decisively negative")
 
-    crossing = _crossing(scores, known, channel.gamma, threshold, _SCORE_TREE_DEPTH)
+    crossing = _crossing(scores, known, channel, threshold, _SCORE_TREE_DEPTH)
     if crossing is None:
         return result("none", None, None, 0,
                       diagnostic=f"no sign change up to gamma t = {_GAMMA_T_CAP:g}")
@@ -372,7 +405,7 @@ def _half_life(params: StateParams, channel: ChannelSpec, measure: str) -> Death
         return result("none", None, None, 0,
                       diagnostic=f"{measure} starts at {initial:.3e}; no half-life")
     target = 0.5 * initial
-    crossing = _crossing(closed, known, channel.gamma, target, _CLOSED_TREE_DEPTH)
+    crossing = _crossing(closed, known, channel, target, None)
     if crossing is None:
         return result("none", None, None, 0,
                       diagnostic=f"{measure} has not halved by gamma t = {_GAMMA_T_CAP:g}")
