@@ -1,12 +1,12 @@
 """Command-line front end.
 
 Subcommands: state (build and measure an initial family member), evolve
-(apply a channel and re-measure), sweep (CSV over a (theta, time) grid),
-deathtime (root-find a death or half-life), verify (self-check suite).
+(apply a channel and re-measure), sweep (CSV or JSON over a (theta, time)
+grid), deathtime (root-find a death or half-life), verify (self-check suite).
 
 Angles accept plain radians or pi tokens like ``pi/8``, ``3pi/4``, ``-pi/4``
 and ``2e-1pi``.  Exit codes: 0 success, 1 verify failure, 2 usage error, 3
-numerical/validation error while computing.
+numerical/validation error while computing or error writing the output.
 """
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ import argparse
 import contextlib
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import os
@@ -37,11 +36,11 @@ __all__ = ["main", "build_parser"]
 MAX_TIME_POINTS = 100_000
 # most (axis, theta, time) points one sweep may ask for (closed forms only,
 # all five measures at --precision 17: about 5.6 s, a 127 MB peak and a
-# 384 MB CSV on a 2-core VM; --json writes its rows in blocks, so the same
-# sweep also peaks at 127 MB, in about 40 s, for 928 MB of JSON)
+# 384 MB CSV on a 2-core VM; as --json the same sweep also peaks at 127 MB,
+# in about 8.8 s, for 928 MB of JSON)
 MAX_SWEEP_POINTS = 1_000_000
-# sweep rows per json.dumps call of a --json sweep
-_JSON_BLOCK_ROWS = 256
+# most sweep rows one %-format writes
+_BLOCK_ROWS = 256
 # most steps evolve --steps may ask for (rk4 squares its one-step propagator,
 # so this takes about 0.3 ms of it on a 2-core VM)
 MAX_RK4_STEPS = 1_000_000
@@ -358,55 +357,42 @@ def _cmd_evolve(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace, out: TextIO) -> int:
-    settings = _settings(args)
-    table = sweep(
-        SweepGrid(thetas=tuple(args.thetas), times=tuple(args.times)),
-        axes=tuple(args.axes),
-        measures=tuple(args.measures),
-        gamma=args.gamma,
-        noisy_qubit=args.noisy_qubit,
-        include_oracle=args.oracle,
-        optimizer=settings,
-    )
+    table = sweep(SweepGrid(thetas=tuple(args.thetas), times=tuple(args.times)),
+                  axes=tuple(args.axes), measures=tuple(args.measures), gamma=args.gamma,
+                  noisy_qubit=args.noisy_qubit, include_oracle=args.oracle,
+                  optimizer=_settings(args))
+    # Each (measure, axis, theta) block is a %-format of a template that
+    # holds the block's fixed text, each theta and gamma*t formatted once
+    # (json.dumps prints inf as Infinity), and a field per value: %.Pg, or
+    # for JSON %r, the repr json prints for a finite float.  Only the fixed
+    # text differs between the formats.  A block goes out _BLOCK_ROWS rows
+    # at a time, so memory stays flat in the number of times; lead is the
+    # text before a slice's first row, the opening and then the separator.
     if args.json:
-        # the bytes of json.dumps(rows, indent=2), written a block of rows at
-        # a time so memory stays flat in the row count: each block's own
-        # dump less its opening "[\n  " and closing "\n]", with its rows
-        # read from the table's columns
-        labels = itertools.product(table.measures, table.axes, table.thetas, table.gamma_ts)
-        closed = table.closed.ravel()
-        oracle = None if table.oracle is None else table.oracle.ravel()
-        sep = "[\n  "
-        for start in range(0, len(table), _JSON_BLOCK_ROWS):
-            block = slice(start, start + _JSON_BLOCK_ROWS)
-            values = closed[block].tolist()
-            oracles = [None] * len(values) if oracle is None else oracle[block].tolist()
-            rows = [{"channel": axis, "measure": measure, "theta": theta, "gamma_t": gamma_t,
-                     "value_closed": value, "value_oracle": value_oracle}
-                    for (measure, axis, theta, gamma_t), value, value_oracle
-                    in zip(itertools.islice(labels, len(values)), values, oracles)]
-            out.write(sep + json.dumps(rows, indent=2)[4:-2])
-            sep = ",\n  "
-        out.write("\n]\n")
-        return 0
-    # Each (measure, axis, theta) block is one %-format of a template that
-    # holds the block's fixed text, each theta and gamma*t formatted once,
-    # with a %.Pg field per value: row k reads head, gamma_t[k], the closed
-    # value and, with oracles, the oracle value
-    fmt = f"%.{args.precision}g"
-    thetas = [fmt % theta for theta in table.thetas]
-    if table.oracle is None:
-        fields, values = f"{fmt},", table.closed
+        number, field, empty = json.dumps, "%r", "null"
+        lead, sep, closing = "[\n", ",\n", "\n]\n"
+        head = ('  {{\n    "channel": "{axis}",\n    "measure": "{measure}",\n'
+                '    "theta": {theta},\n    "gamma_t": ')
+        tail = '{gamma_t},\n    "value_closed": {closed},\n    "value_oracle": {oracle}\n  }}'
     else:
-        fields, values = f"{fmt},{fmt}", np.stack([table.closed, table.oracle], -1)
-    tails = [f"{fmt % gt},{fields}" for gt in table.gamma_ts]
-    out.write("channel,measure,theta,gamma_t,value_closed,value_oracle\n")
+        field = f"%.{args.precision}g"
+        number, empty = field.__mod__, ""
+        lead, sep, closing = "channel,measure,theta,gamma_t,value_closed,value_oracle\n", "\n", "\n"
+        head, tail = "{axis},{measure},{theta},", "{gamma_t},{closed},{oracle}"
+    oracle = empty if table.oracle is None else field
+    values = table.closed if table.oracle is None else np.stack([table.closed, table.oracle], -1)
+    thetas = [number(theta) for theta in table.thetas]
+    tails = [tail.format(gamma_t=number(gt), closed=field, oracle=oracle) for gt in table.gamma_ts]
+    parts = [(k, tails[k:k + _BLOCK_ROWS]) for k in range(0, len(tails), _BLOCK_ROWS)]
     for m, measure in enumerate(table.measures):
         for a, axis in enumerate(table.axes):
             for i, theta in enumerate(thetas):
-                head = f"{axis},{measure},{theta},"
-                template = head + ("\n" + head).join(tails) + "\n"
-                out.write(template % tuple(values[m, a, i].ravel().tolist()))
+                row = head.format(axis=axis, measure=measure, theta=theta)
+                for k, part in parts:
+                    template = lead + row + (sep + row).join(part)
+                    out.write(template % tuple(values[m, a, i, k:k + _BLOCK_ROWS].ravel().tolist()))
+                    lead = sep
+    out.write(closing)
     return 0
 
 
@@ -526,13 +512,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"cannot write --out {args.out!r}: {exc.strerror}")
     try:
         with sink as out:
-            return handler(args, _OutFile(out) if args.out else out)
+            code = handler(args, _OutFile(out) if args.out else out)
+            out.flush()
+            return code
     except ValueError as exc:  # includes InvalidStateError
-        print(f"error: {exc}", file=sys.stderr)
-        # remove a file this call created and left empty
-        if created and os.path.getsize(args.out) == 0:
-            os.remove(args.out)
-        return 3
+        message = str(exc)
+    except OSError as exc:  # from writing or closing the output
+        message = f"cannot write output: {exc.strerror}"
+        if not args.out:
+            # a closed or full stdout: point it at devnull, so that the
+            # flush at exit raises no second error
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+    print(f"error: {message}", file=sys.stderr)
+    # remove a file this call created and left empty
+    if created and os.path.getsize(args.out) == 0:
+        os.remove(args.out)
+    return 3
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
 """Command-line behavior: parsing, output formats, exit codes."""
 import argparse
 import dataclasses
+import errno
 import json
 import math
 import os
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -341,6 +343,23 @@ def test_sweep_json_is_written_in_flat_memory(tmp_path):
     assert target.read_text(encoding="utf-8") == json.dumps(rows, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_memory_is_flat_in_the_number_of_times(fmt):
+    # one theta, one axis and 20,000 times: the sweep itself peaks near
+    # 4.4 MB and the whole call at 5.2 MB in both formats, where a writer
+    # that formats a whole (measure, axis, theta) block at once peaked at
+    # 6.7 MB (CSV) and 16.2 MB (JSON)
+    argv = ["sweep", "--thetas", "pi/4", "--axes", "z", "--tmax", "3", "--tsteps", "20000",
+            "--out", os.devnull] + (["--json"] if fmt == "json" else [])
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000
+
+
 def test_failing_command_leaves_an_existing_out_file_as_it_was(tmp_path, capsys):
     target = tmp_path / "keep.txt"
     target.write_text("kept text\nsecond line\n")
@@ -376,8 +395,52 @@ def test_out_device_is_written_without_emptying(capsys):
     assert code == 0
 
 
-def _reference_sweep_csv(table, precision):
-    """The sweep CSV written one value and one row at a time."""
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_out_device_exits_3_with_one_error_line(capsys):
+    code = main(["sweep", "--thetas", "pi/4", "--times", "0,1", "--out", "/dev/full"])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_write_error_removes_the_out_file_it_created(tmp_path, monkeypatch, capsys):
+    def full(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli._OutFile, "write", full)
+    target = tmp_path / "new.csv"
+    assert main(["sweep", "--thetas", "pi/4", "--times", "0,1", "--out", str(target)]) == 3
+    assert capsys.readouterr().err == f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+    assert not os.path.lexists(target)
+
+
+def test_closed_stdout_pipe_exits_3_and_points_stdout_at_devnull(tmp_path, monkeypatch, capsys):
+    class ClosedPipe:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return self.fd
+
+    with open(tmp_path / "stdout", "w") as held:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(held.fileno()))
+        code = main(["sweep", "--thetas", "pi/4", "--times", "0,1"])
+        # what stdout still holds would be flushed to devnull at exit
+        assert os.path.samestat(os.fstat(held.fileno()), os.stat(os.devnull))
+    assert code == 3
+    assert capsys.readouterr().err == f"error: cannot write output: {os.strerror(errno.EPIPE)}\n"
+
+
+def _reference_sweep(table, precision, kind):
+    """The sweep output written one value and one row at a time (CSV), or
+    by one json.dumps over every row (JSON)."""
+    if kind == "json":
+        return json.dumps([dataclasses.asdict(r) for r in table], indent=2) + "\n"
     fmt = f"%.{precision}g"
     lines = ["channel,measure,theta,gamma_t,value_closed,value_oracle"]
     for m, measure in enumerate(table.measures):
@@ -390,10 +453,9 @@ def _reference_sweep_csv(table, precision):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("precision", ["6", "9", "17"])
-@pytest.mark.parametrize("axes", ["y", "x,y,z"])
-@pytest.mark.parametrize("oracle", [False, True])
-def test_sweep_csv_is_the_per_value_reference(capsys, monkeypatch, precision, axes, oracle):
+def _sweep_and_table(capsys, monkeypatch, kind, *argv):
+    """main's exit code and output for a sweep argv in the format kind
+    (csv or json), and the table it wrote."""
     tables, compute = [], cli.sweep
 
     def keep(*args, **kwargs):
@@ -401,13 +463,38 @@ def test_sweep_csv_is_the_per_value_reference(capsys, monkeypatch, precision, ax
         return tables[-1]
 
     monkeypatch.setattr(cli, "sweep", keep)
-    argv = ["sweep", "--thetas", "0,1e-8,pi/4,pi/2,3.14159265,pi", "--times", "0,1e-3,0.7,20,inf",
+    code, out = run(capsys, "sweep", *argv, *(["--json"] if kind == "json" else []))
+    return code, out, tables[0]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("precision", ["6", "9", "17"])
+@pytest.mark.parametrize("axes", ["y", "x,y,z"])
+@pytest.mark.parametrize("oracle", [False, True])
+def test_sweep_output_is_the_per_value_reference(capsys, monkeypatch, precision, axes, oracle, fmt):
+    argv = ["--thetas", "0,1e-8,pi/4,pi/2,3.14159265,pi", "--times", "0,1e-3,0.7,20,inf",
             "--axes", axes, "--measures", "all" if not oracle else "concurrence,geometric_discord",
             "--gamma", "1.3", "--precision", precision] + (["--oracle"] if oracle else [])
-    code, out = run(capsys, *argv)
+    code, out, table = _sweep_and_table(capsys, monkeypatch, fmt, *argv)
     assert code == 0
-    assert out == _reference_sweep_csv(tables[0], int(precision))
-    assert (",0," in out) and (",inf," in out)
+    assert out == _reference_sweep(table, int(precision), fmt)
+    if fmt == "json":
+        assert '"gamma_t": 0.0,' in out and '"gamma_t": Infinity,' in out
+    else:
+        assert (",0," in out) and (",inf," in out)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_block_longer_than_a_slice_is_the_reference(capsys, monkeypatch, fmt):
+    # one theta, so each block is one (measure, axis) pair over every time,
+    # written in several slices of cli._BLOCK_ROWS rows and a short last one
+    times = 2 * cli._BLOCK_ROWS + 37
+    argv = ["--thetas", "pi/3", "--tmax", "4", "--tsteps", str(times), "--axes", "x,y",
+            "--measures", "concurrence,quantum_discord", "--oracle", "--precision", "17"]
+    code, out, table = _sweep_and_table(capsys, monkeypatch, fmt, *argv)
+    assert code == 0
+    assert len(table) == 4 * times
+    assert out == _reference_sweep(table, 17, fmt)
 
 
 def test_deathtime_json(capsys):
