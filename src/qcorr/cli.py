@@ -249,11 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compass-search step in radians at which the optimizer"
                        " refinement stops (default %(default)s)")
 
-    def add_channel(p: argparse.ArgumentParser, described: bool = False) -> None:
+    def add_channel(p: argparse.ArgumentParser) -> None:
         p.add_argument("--gamma", type=float, default=1.0, metavar="G",
-                       help="channel rate (default 1)" if described else None)
+                       help="channel rate (default 1)")
         p.add_argument("--noisy-qubit", choices=QUBITS, default="B",
-                       help="which qubit the noise acts on (default B)" if described else None)
+                       help="which qubit the noise acts on (default B)")
 
     p_state = sub.add_parser("state", help="build an initial family member and measure it")
     p_state.add_argument("--theta", required=True, type=_angle_token, metavar="ANGLE",
@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="Pauli axis of the noise")
     p_evolve.add_argument("--time", "--t", required=True, type=float, metavar="T",
                           help="evolution time (gamma*t when --gamma is omitted)")
-    add_channel(p_evolve, described=True)
+    add_channel(p_evolve)
     p_evolve.add_argument("--method", choices=tuple(_ROUTES), default="kraus",
                           help="evolution route (default kraus)")
     p_evolve.add_argument("--steps", type=int, metavar="N",

@@ -720,6 +720,10 @@ def test_every_subcommand_help_renders_with_the_optimizer_defaults(capsys, comma
     defaults = OptimizerSettings()
     optimizer_help = [f"(default {defaults.grid_points});", f"(default {defaults.final_tolerance})"]
     assert [shown in text for shown in optimizer_help] == [command != "deathtime"] * 2
+    channel_help = ["--gamma G channel rate (default 1)",
+                    "which qubit the noise acts on (default B)"]
+    has_channel = command in ("evolve", "sweep", "deathtime")
+    assert [shown in text for shown in channel_help] == [has_channel] * 2
 
 
 def test_optimizer_flags_default_to_the_optimizer_settings():

@@ -21,6 +21,7 @@ from qcorr.dynamics import (
 )
 from qcorr.measures import (
     PAPER_MEASURES,
+    OptimizerSettings,
     _wootters_scores,
     closed_values,
     concurrence,
@@ -691,6 +692,32 @@ def test_verify_checks_the_discord_oracle_near_the_sudden_change(monkeypatch):
         assert check.max_error <= 1e-15
     monkeypatch.setattr(measures, "_GROW_AFTER", measures._MAX_ROUNDS)
     assert near(verify_suite(quick=True)).status == "fail"
+
+
+def test_verify_grid_doubling_runs_the_given_settings(monkeypatch):
+    # the lone discord runs are the given grid and its double, with the
+    # given tolerance; at the largest grid the other run takes half
+    seen = []
+
+    def spy(rho, settings=None, **kwargs):
+        seen.append(settings)
+        return quantum_discord(rho, settings=settings, **kwargs)
+
+    monkeypatch.setattr(dynamics, "quantum_discord", spy)
+    given = OptimizerSettings(grid_points=32, final_tolerance=1e-8)
+    assert verify_suite(quick=True, optimizer=given).passed
+    assert seen == [given, OptimizerSettings(grid_points=64, final_tolerance=1e-8)]
+
+    def record(rho, settings=None):
+        seen.append(settings.grid_points)
+        return measures.MeasureResult(0.0, "oracle")
+
+    seen.clear()
+    monkeypatch.setattr(dynamics, "quantum_discord", record)
+    largest = measures.MAX_GRID_POINTS
+    next(dynamics._optimizer_robust(*_verify_grid(quick=True),
+                                    OptimizerSettings(grid_points=largest)))
+    assert seen == [largest, largest // 2]
 
 
 @pytest.mark.parametrize(

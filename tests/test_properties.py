@@ -1,15 +1,17 @@
 """Property tests over the whole parameter range: theta in [0, pi], gamma t in
 [0, 50], every noise axis and either noisy qubit.
 
-The concurrence oracle is compared with its closed form over all of it,
-small angles included: the oracle takes the spin-flip values as singular
+Every oracle is compared with its closed form over all of it, small angles
+included: the concurrence oracle takes the spin-flip values as singular
 values of Wootters' tau matrix, so no square root of a product of small
-eigenvalues loses them to rounding.
+eigenvalues loses them to rounding.  The three entropic oracles still miss
+by more than the tolerance near gamma t = 1e-12 and are marked as failing.
 """
 import math
 
 import numpy as np
-from hypothesis import given
+import pytest
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qcorr.channels import ChannelSpec, kraus_apply
@@ -17,9 +19,13 @@ from qcorr.linalg import pauli_coefficients
 from qcorr.measures import (
     _conditional_entropy,
     _measurement_frame,
+    classical_correlation,
     closed_values,
     concurrence,
+    geometric_discord,
+    mutual_information,
     optimal_conditional_entropy,
+    quantum_discord,
 )
 from qcorr.states import initial_state, make_params
 
@@ -70,6 +76,30 @@ def test_concurrence_oracle_matches_its_closed_form(theta, channel, t):
     params = make_params(theta)
     oracle = concurrence(kraus_apply(initial_state(params), channel, t)).value
     assert abs(oracle - float(closed_values(params, channel, t, ("concurrence",))["concurrence"])) <= TOL
+
+
+# The entropic oracles count eigenvalues at or below 1e-12 as zeros, so near
+# gamma t = 1e-12 they drop up to about 4e-11 bits of entropy the closed
+# forms keep.  The first example is hypothesis's own falsifying case, the
+# second one a random scan found where classical correlation misses too.
+ZERO_CUTOFF_DEFECT = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="the entropy kernel drops eigenvalues at or below 1e-12")
+
+
+@pytest.mark.parametrize("oracle", [
+    geometric_discord,
+    *(pytest.param(f, marks=ZERO_CUTOFF_DEFECT)
+      for f in (quantum_discord, mutual_information, classical_correlation)),
+], ids=lambda f: f.__name__)
+@given(theta=thetas, channel=channels, t=times)
+@example(theta=0.0, channel=ChannelSpec(axis="x", qubit="A"), t=1e-13)
+@example(theta=0.017928044978067045, channel=ChannelSpec(axis="x", qubit="A"), t=1e-12)
+def test_other_oracles_match_their_closed_forms(oracle, theta, channel, t):
+    params = make_params(theta)
+    value = oracle(kraus_apply(initial_state(params), channel, t)).value
+    name = oracle.__name__
+    assert abs(value - float(closed_values(params, channel, t, (name,))[name])) <= TOL
 
 
 @given(theta=thetas, qubit=st.sampled_from("AB"), t=times)
