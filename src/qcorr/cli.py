@@ -243,8 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_optimizer(p: argparse.ArgumentParser) -> None:
         defaults = OptimizerSettings()
         p.add_argument("--grid-points", type=int, default=defaults.grid_points, metavar="N",
-                       help="sphere grid size (default %(default)s); its z > 0 half seeds"
-                       " the search")
+                       help="sphere grid size (default %(default)s); its z > 0 half and"
+                       " the singular vectors of T seed the search")
         p.add_argument("--opt-tol", type=float, default=defaults.final_tolerance, metavar="TOL",
                        help="compass-search step in radians at which the optimizer"
                        " refinement stops (default %(default)s)")

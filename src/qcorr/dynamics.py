@@ -37,6 +37,7 @@ from .measures import (
     PAPER_MEASURES,
     OptimizerSettings,
     _check_names,
+    _single_oracle,
     _triple_values,
     _wootters_scores,
     closed_values,
@@ -597,8 +598,9 @@ def _trends() -> Iterator[VerifyCheck]:
 def _optimizer_robust(
     thetas: list[float], times: list[float], optimizer: OptimizerSettings | None
 ) -> Iterator[VerifyCheck]:
-    """Doubling the given seed grid (halving it where the double would pass
-    MAX_GRID_POINTS) must not move the oracle discord, and it must match the
+    """The oracle discord with the given settings must match a run from the
+    grid alone, without the singular-vector seeds, on twice the grid (half
+    where the double would pass MAX_GRID_POINTS), and it must match the
     closed discord at and just around the sudden change t_sc = ln(1/q)/(2
     gamma) (gamma = 1), where the conditional entropy's valley is flat."""
     rho_ref = kraus_apply(initial_state(thetas[len(thetas) // 2]), _CHANNELS["x"], times[2])
@@ -606,7 +608,7 @@ def _optimizer_robust(
     n = given.grid_points
     other = replace(given, grid_points=2 * n if 2 * n <= MAX_GRID_POINTS else n // 2)
     err = abs(quantum_discord(rho_ref, settings=given).value
-              - quantum_discord(rho_ref, settings=other).value)
+              - _single_oracle("quantum_discord", rho_ref, "A", other, seeded=False).value)
     yield _check("optimizer_grid_doubling_stable", err, 1e-6)
     states, closed = [], []
     for theta in (0.9, 2.0):

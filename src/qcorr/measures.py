@@ -5,9 +5,11 @@ Every measure comes in two mutually checking flavors: a general numerical
 oracle that works on any two-qubit density matrix, and a closed form for the
 one-parameter family evolved under the Pauli channels.  The discord oracle
 minimizes the post-measurement conditional entropy over all rank-one
-projective measurements on one side by a compass search on the sphere, seeded
-from the z > 0 half of a deterministic Fibonacci-sphere grid (n and -n are one
-measurement); nothing is random, so runs agree bit for bit on one platform.
+projective measurements on one side by a compass search on the sphere.  It
+starts from the best of the z > 0 half of a deterministic Fibonacci-sphere
+grid (n and -n are one measurement) and the three left singular vectors of
+the correlation matrix T; nothing is random, so runs agree bit for bit on one
+platform.
 
 The conditional entropy is evaluated in Bloch form, which holds for any
 two-qubit state: with rho = (1/4)(I + a.sigma x I + I x b.sigma +
@@ -18,10 +20,11 @@ swaps a and b and uses T in place of T^T.
 
 Every oracle kernel works on an (n, 4, 4) stack of validated states; the
 public one-state functions run the same kernels with n = 1.  The optimizer
-evaluates its grid in blocks of (state, direction) pairs, then refines all
-states in rounds: each round evaluates eight compass points in the tangent
-plane for every state whose search is still running, as one array, and each
-state keeps its own step, stopping rule, tie-breaks and diagnostics.
+evaluates its grid in blocks of (state, direction) pairs and its seeds from
+one batched SVD, then refines all states in rounds: each round evaluates
+eight compass points in the tangent plane for every state whose search is
+still running, as one array, and each state keeps its own step, stopping
+rule, tie-breaks and diagnostics.
 Every kernel adds its terms in an order that does not depend on the stack,
 so a state's values are bit for bit the same alone or inside any stack.
 
@@ -123,19 +126,24 @@ _MAX_ROUNDS = 400
 # _MAX_STEP rad
 _GROW_AFTER = 40
 _MAX_STEP = 1.0
+# conditional entropies within this of zero read zero to rounding; on 2,000
+# random pure states, whose every direction is zero, the largest |value| was
+# 6.4e-16, about 2.9 eps
+_ZERO_BAND = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class OptimizerSettings:
     """Knobs for the measurement-sphere search; bad values raise ValueError.
 
-    grid_points sizes the Fibonacci-sphere grid whose z > 0 half seeds the
-    compass search, from 32 to MAX_GRID_POINTS.  The default 64 (32 seed
-    directions) is the smallest size that, with the next size down, finds
-    the best minimum within 1e-12 on random states of ranks 1-4, rotated
-    Bell-diagonal states away from degeneracy and the family near its
-    sudden change, with no run at the round cap.  final_tolerance is the
-    step, in radians, at or below which the search stops."""
+    grid_points sizes the Fibonacci-sphere grid whose z > 0 half, with the
+    three singular vectors of T, seeds the compass search, from 32 to
+    MAX_GRID_POINTS.  The default 64 (32 grid directions) is the smallest
+    size that, with the next size down, finds the best minimum within 1e-12
+    on random states of ranks 1-4, rotated Bell-diagonal states away from
+    degeneracy and the family near its sudden change, with no run at the
+    round cap, even from the grid alone.  final_tolerance is the step, in
+    radians, at or below which the search stops."""
 
     grid_points: int = 64
     final_tolerance: float = 1e-7
@@ -153,12 +161,13 @@ class OptimizerSettings:
 class OptimizerDiagnostics:
     """Where the sphere search ended up and how hard it worked.
 
-    grid_points counts the seed directions evaluated, the z > 0 half of the
+    grid_points counts the grid directions evaluated, the z > 0 half of the
     settings' sphere; refinement_iterations counts compass rounds, and 400
     (the round cap) marks a run that stopped before its step fell to the
     tolerance, whose value may sit above the minimum; evaluations counts
-    objective evaluations, grid_points + 8 per round; final_window is the
-    step in radians of the last round."""
+    objective evaluations, grid_points + 3 singular-vector seeds + 8 per
+    round (no seeds on a run from the grid alone); final_window is the step
+    in radians of the last round."""
 
     best_direction: tuple[float, float, float]
     grid_points: int
@@ -550,11 +559,12 @@ def _norm(v: np.ndarray) -> np.ndarray:
 
 
 def _optimize(
-    r: np.ndarray, measured_side: str, settings: OptimizerSettings
+    r: np.ndarray, measured_side: str, settings: OptimizerSettings, *, seeded: bool = True
 ) -> tuple[np.ndarray, list[OptimizerDiagnostics]]:
     """Minimal conditional entropy for each state of an (n, 4, 4) stack of
     Pauli coefficients, qubit measured_side measured, with each state's
-    diagnostics."""
+    diagnostics.  seeded=False skips the singular-vector seeds, so the
+    search starts from the grid alone."""
     m, b1 = _measurement_frame(r, measured_side)
     n = r.shape[0]
 
@@ -567,6 +577,17 @@ def _optimize(
         values = _conditional_entropy(dirs @ m[block], b1[block, None, :])
         value[block] = values.min(axis=1)
         direction[block] = dirs[(values == value[block, None]).argmax(axis=1)]
+    if seeded:
+        # the left singular vectors of T, turned to z >= 0, as rows; one
+        # replaces the grid's best only where it is strictly lower
+        seeds = np.swapaxes(np.linalg.svd(m[:, :, 1:])[0], 1, 2)
+        seeds *= np.where(seeds[:, :, 2:] < 0.0, -1.0, 1.0)
+        values = _conditional_entropy(seeds @ m, b1[:, None, :])
+        k = values.argmin(axis=1)
+        best = values[np.arange(n), k]
+        lower = best < value
+        value[lower] = best[lower]
+        direction[lower] = seeds[lower, k[lower]]
 
     step = np.full(n, 3.6 / math.sqrt(settings.grid_points))
     final_window = np.empty(n)
@@ -585,6 +606,10 @@ def _optimize(
         k = values.argmin(axis=1)
         best = values[np.arange(len(rows)), k]
         moved = best < value[rows]
+        # the centre and its eight points all read zero, the conditional
+        # entropy's floor, to rounding: a move among them follows noise (on a
+        # pure state every direction reads zero), so the run ends with it
+        floor = (np.abs(values).max(axis=1) <= _ZERO_BAND) & (np.abs(value[rows]) <= _ZERO_BAND)
         direction[rows[moved]] = candidates[moved, k[moved]]
         value[rows[moved]] = best[moved]
         final_window[rows] = s
@@ -594,7 +619,7 @@ def _optimize(
         grown = np.minimum(2.0 * s, _MAX_STEP) if done >= _GROW_AFTER else s
         step[rows] = np.where(moved, grown, s / 4.0)
         rounds[rows] += 1
-        running[rows] = step[rows] > settings.final_tolerance
+        running[rows] = (step[rows] > settings.final_tolerance) & ~(moved & floor)
         if not running.any():
             break
     diagnostics = [
@@ -603,7 +628,7 @@ def _optimize(
             grid_points=len(dirs),
             refinement_iterations=count,
             final_tolerance=settings.final_tolerance,
-            evaluations=len(dirs) + len(_COMPASS) * count,
+            evaluations=len(dirs) + 3 * seeded + len(_COMPASS) * count,
             final_window=last,
         )
         for best_n, count, last in zip(direction.tolist(), rounds.tolist(), final_window.tolist())
@@ -620,18 +645,27 @@ def optimal_conditional_entropy(
     conditional entropy of the unmeasured qubit.
 
     The projectors are (I +- n.sigma)/2 for a unit direction n, so n and -n
-    are one measurement.  The grid_points // 2 directions with z > 0 of a
-    deterministic Fibonacci-sphere grid of settings.grid_points directions
-    seed a compass search on the sphere.  Each round evaluates the eight
-    points normalize(n + s(cos(k pi/4) e1 + sin(k pi/4) e2)) around the
-    current n, with (e1, e2) a tangent basis at n, moves to the best of them
-    if it is strictly lower and otherwise divides the step s by 4; after 40
-    rounds a move also doubles s, up to 1 rad, so a run creeping along a
-    flat valley speeds up.  The step starts at 3.6/sqrt(grid_points) rad,
-    and the search stops once it is at most settings.final_tolerance rad, or
-    after 400 rounds.  An outcome with probability below 1e-14 contributes
+    are one measurement.  The search starts at the best of the grid_points
+    // 2 directions with z > 0 of a deterministic Fibonacci-sphere grid of
+    settings.grid_points directions; each of the three left singular vectors
+    of the correlation matrix T (indexed [measured, unmeasured]), turned to
+    z >= 0, replaces it only where it is strictly lower.  On a state with
+    maximally mixed marginals, every Bell-diagonal state among them, one of
+    those vectors is the optimal axis (Luo, PRA 77, 042303 (2008)) in any
+    local basis.  A compass search on the sphere refines the start.  Each
+    round evaluates the eight points normalize(n + s(cos(k pi/4) e1 +
+    sin(k pi/4) e2)) around the current n, with (e1, e2) a tangent basis at
+    n, moves to the best of them if it is strictly lower and otherwise
+    divides the step s by 4; after 40 rounds a move also doubles s, up to
+    1 rad, so a run creeping along a flat valley speeds up.  The step starts
+    at 3.6/sqrt(grid_points) rad, and the search stops once it is at most
+    settings.final_tolerance rad, after 400 rounds, or with a move among
+    nine values (n and its eight points) that all lie within 4 eps of zero,
+    the floor of the conditional entropy, where a pure state's every
+    direction lies.  An outcome with probability below 1e-14 contributes
     zero.  Ties resolve to the first point: the lexicographically smallest
-    grid direction, the lowest k.
+    grid direction, then the first singular vector (the largest singular
+    value), the lowest k.
     """
     return _single_oracle("conditional_entropy", rho, measured_side, settings)
 
@@ -666,13 +700,17 @@ class _Stack:
     """A validated (n, 4, 4) stack and the pieces its oracles share, each
     computed once, on first use, for the whole stack."""
 
-    def __init__(self, rho: np.ndarray, measured_side: str, settings: OptimizerSettings | None):
+    def __init__(
+        self, rho: np.ndarray, measured_side: str, settings: OptimizerSettings | None,
+        seeded: bool = True,
+    ):
         if measured_side not in QUBITS:
             raise ValueError(f"measured_side must be 'A' or 'B', got {measured_side!r}")
         self.rho = rho
         self.measured = measured_side
         self.unmeasured = "B" if measured_side == "A" else "A"
         self.settings = settings or OptimizerSettings()
+        self.seeded = seeded
 
     @functools.cached_property
     def bloch(self) -> np.ndarray:
@@ -690,7 +728,7 @@ class _Stack:
     @functools.cached_property
     def optimum(self) -> tuple[np.ndarray, list[OptimizerDiagnostics]]:
         """The optimizer's values and per-state diagnostics."""
-        return _optimize(self.bloch, self.measured, self.settings)
+        return _optimize(self.bloch, self.measured, self.settings, seeded=self.seeded)
 
 
 # each kernel reads one _Stack and returns one value per state, before the floor
@@ -720,8 +758,12 @@ def _single_oracle(
     rho: np.ndarray,
     measured_side: str = "A",
     settings: OptimizerSettings | None = None,
+    *,
+    seeded: bool = True,
 ) -> MeasureResult:
-    stack = _Stack(_validated_one(rho)[None], measured_side, settings)
+    """One oracle on one state; seeded=False runs the optimizer from its
+    grid alone (see _optimize)."""
+    stack = _Stack(_validated_one(rho)[None], measured_side, settings, seeded)
     value = float(_finalize(_STACK_ORACLES[name](stack)[0]))
     optimizer = stack.optimum[1][0] if name in _USES_OPTIMIZER else None
     return MeasureResult(value=value, method="oracle", optimizer=optimizer)

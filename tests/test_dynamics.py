@@ -681,7 +681,7 @@ def test_oracle_sweep_hands_back_its_states():
 
 def test_verify_checks_the_discord_oracle_near_the_sudden_change(monkeypatch):
     # 16 states within 1e-5 decay times of t_sc, where the compass search
-    # crept to its round cap before its steps could grow
+    # from the grid alone crept to its round cap before its steps could grow
     def near(report):
         (check,) = [c for c in report.checks if c.check_id == "discord_oracle_near_sudden_change"]
         return check
@@ -690,23 +690,32 @@ def test_verify_checks_the_discord_oracle_near_the_sudden_change(monkeypatch):
         check = near(verify_suite(quick=quick))
         assert check.status == "pass" and check.tolerance == 1e-12
         assert check.max_error <= 1e-15
+    optimize = measures._optimize
+    monkeypatch.setattr(measures, "_optimize",
+                        lambda r, side, settings, seeded: optimize(r, side, settings, seeded=False))
     monkeypatch.setattr(measures, "_GROW_AFTER", measures._MAX_ROUNDS)
     assert near(verify_suite(quick=True)).status == "fail"
 
 
 def test_verify_grid_doubling_runs_the_given_settings(monkeypatch):
-    # the lone discord runs are the given grid and its double, with the
-    # given tolerance; at the largest grid the other run takes half
+    # the lone discord runs are the seeded search with the given settings and
+    # the search from the grid alone on twice the grid, with the given
+    # tolerance; at the largest grid the grid-only run takes half
     seen = []
 
     def spy(rho, settings=None, **kwargs):
-        seen.append(settings)
+        seen.append((settings, True))
         return quantum_discord(rho, settings=settings, **kwargs)
 
+    def seedless_spy(name, rho, side, settings, *, seeded):
+        seen.append((settings, seeded))
+        return measures._single_oracle(name, rho, side, settings, seeded=seeded)
+
     monkeypatch.setattr(dynamics, "quantum_discord", spy)
+    monkeypatch.setattr(dynamics, "_single_oracle", seedless_spy)
     given = OptimizerSettings(grid_points=32, final_tolerance=1e-8)
     assert verify_suite(quick=True, optimizer=given).passed
-    assert seen == [given, OptimizerSettings(grid_points=64, final_tolerance=1e-8)]
+    assert seen == [(given, True), (OptimizerSettings(grid_points=64, final_tolerance=1e-8), False)]
 
     def record(rho, settings=None):
         seen.append(settings.grid_points)
@@ -714,6 +723,8 @@ def test_verify_grid_doubling_runs_the_given_settings(monkeypatch):
 
     seen.clear()
     monkeypatch.setattr(dynamics, "quantum_discord", record)
+    monkeypatch.setattr(dynamics, "_single_oracle",
+                        lambda name, rho, side, settings, *, seeded: record(rho, settings))
     largest = measures.MAX_GRID_POINTS
     next(dynamics._optimizer_robust(*_verify_grid(quick=True),
                                     OptimizerSettings(grid_points=largest)))

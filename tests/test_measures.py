@@ -696,11 +696,13 @@ def test_step_growth_changes_only_runs_past_40_rounds(monkeypatch):
     states = np.concatenate(
         [_near_sudden_change()[0], np.array(_random_states(50, 1998) + _family_states())])
     stack = pauli_coefficients(states)
-    grown = {side: _optimize(stack, side, OptimizerSettings()) for side in "AB"}
+    # from the grid alone: the singular-vector seeds start these runs at the
+    # minimum, so none of them reaches round 40
+    grown = {side: _optimize(stack, side, OptimizerSettings(), seeded=False) for side in "AB"}
     grow_after, cap = measures._GROW_AFTER, measures._MAX_ROUNDS
     monkeypatch.setattr(measures, "_GROW_AFTER", cap)
     for side in "AB":
-        plain_values, plain_diagnostics = _optimize(stack, side, OptimizerSettings())
+        plain_values, plain_diagnostics = _optimize(stack, side, OptimizerSettings(), seeded=False)
         values, diagnostics = grown[side]
         rounds = [d.refinement_iterations for d in plain_diagnostics]
         # the corpus holds runs on both sides of round 40, and stalls without
@@ -724,31 +726,142 @@ def _ranked_states(per_rank, seed):
     return states
 
 
+def _local_unitary(rng):
+    """A random U_A x U_B, each factor an SU(2) matrix from a normalised
+    Gaussian quaternion."""
+    units = []
+    for _ in "AB":
+        q = rng.normal(size=4)
+        a, b = complex(q[0], q[1]), complex(q[2], q[3])
+        units.append(np.array([[a, -b.conjugate()], [b, a.conjugate()]]) / np.linalg.norm(q))
+    return np.kron(*units)
+
+
+_BELL_SIGNS = np.array([[-1, -1, -1], [1, -1, 1], [-1, 1, 1], [1, 1, -1]])
+
+
+def _rotated_triple_state(c, rng):
+    """(I + sum_k c_k sigma_k x sigma_k)/4 under a random local unitary."""
+    paulis = (PAULI_X, PAULI_Y, PAULI_Z)
+    rho = (np.eye(4) + sum(ck * np.kron(p, p) for ck, p in zip(c, paulis))) / 4.0
+    u = _local_unitary(rng)
+    return u @ rho @ u.conj().T
+
+
 def _rotated_bell_diagonal(n, seed):
     """n seeded Bell-diagonal states (I + sum_k c_k sigma_k x sigma_k)/4 under
     random local unitaries, each with its largest |c_k| at least 0.05 above
     the next, and their minimal conditional entropies 1 - CC(c), which local
     unitaries keep."""
     rng = np.random.default_rng(seed)
-    paulis = (PAULI_X, PAULI_Y, PAULI_Z)
     states, triples = [], []
     while len(states) < n:
         c = rng.uniform(-1.0, 1.0, 3)
         _, mid, top = np.sort(np.abs(c))
-        weights = 1.0 + np.array([[-1, -1, -1], [1, -1, 1], [-1, 1, 1], [1, 1, -1]]) @ c
-        if top - mid < 0.05 or weights.min() < 1e-9:
+        if top - mid < 0.05 or (1.0 + _BELL_SIGNS @ c).min() < 1e-9:
             continue
-        rho = (np.eye(4) + sum(ck * np.kron(p, p) for ck, p in zip(c, paulis))) / 4.0
-        units = []
-        for _ in "AB":
-            q = rng.normal(size=4)
-            a, b = complex(q[0], q[1]), complex(q[2], q[3])
-            units.append(np.array([[a, -b.conjugate()], [b, a.conjugate()]]) / np.linalg.norm(q))
-        u = np.kron(*units)
-        states.append(u @ rho @ u.conj().T)
+        states.append(_rotated_triple_state(c, rng))
         triples.append(c)
     cc = measures._triple_values(np.array(triples), ("classical_correlation",))
     return np.array(states), 1.0 - cc["classical_correlation"]
+
+
+def _rotated_near_sudden_change():
+    """The family at and around its sudden change t_sc (gamma = 1) on x and
+    z noise: four angles and seven times, t_sc and t_sc +- 1e-6, 1e-5 and
+    1e-3, each state under the same eight seeded random local unitaries,
+    with its closed discord."""
+    rng = np.random.default_rng(5)
+    units = [_local_unitary(rng) for _ in range(8)]
+    states, closed = [], []
+    for theta in (0.9, 2.0, 0.5, 1.2):
+        params = make_params(theta)
+        t_sc = math.log(1.0 / params.q) / 2.0
+        times = [t_sc + offset for offset in (0.0, -1e-6, 1e-6, -1e-5, 1e-5, -1e-3, 1e-3)]
+        for axis in "xz":
+            channel = ChannelSpec(axis=axis)
+            evolved = kraus_apply(initial_state(params), channel, times)
+            discord = closed_values(params, channel, times, ("quantum_discord",))["quantum_discord"]
+            for u in units:
+                states.append(u @ evolved @ u.conj().T)
+                closed.append(discord)
+    return np.concatenate(states), np.concatenate(closed)
+
+
+def _rotated_near_degenerate(n, seed):
+    """n seeded Bell-diagonal states whose two largest |c_k| differ by e,
+    log-uniform in [1e-12, 1e-3], under random local unitaries, with their
+    closed discords."""
+    rng = np.random.default_rng(seed)
+    states, triples = [], []
+    while len(states) < n:
+        mid = rng.uniform(0.05, 0.95)
+        c = np.array([mid + 10.0 ** rng.uniform(-12.0, -3.0), mid, rng.uniform(0.0, mid)])
+        c = rng.permutation(c * rng.choice([-1.0, 1.0], 3))
+        if (1.0 + _BELL_SIGNS @ c).min() < 1e-9:
+            continue
+        states.append(_rotated_triple_state(c, rng))
+        triples.append(c)
+    closed = measures._triple_values(np.array(triples), ("quantum_discord",))
+    return np.array(states), closed["quantum_discord"]
+
+
+def _discord_runs(states, side, settings=None, seeded=True):
+    """The stacked oracle discord of each state, qubit side measured, and
+    its optimizer diagnostics."""
+    stack = measures._Stack(validate_density_matrix(states), side, settings, seeded)
+    return measures._STACK_ORACLES["quantum_discord"](stack), stack.optimum[1]
+
+
+@pytest.mark.parametrize("corpus", [
+    _rotated_near_sudden_change,
+    lambda: _rotated_near_degenerate(52, 6),
+], ids=["family_near_sudden_change", "near_degenerate"])
+def test_the_discord_oracle_is_exact_on_rotated_bell_diagonal_states(corpus):
+    # from the grid alone, 256 of the 448 rotated family runs per side ended
+    # at the round cap, up to 2.3e-5 above the closed discord, and 27-28 of
+    # the 52 near-degenerate ones, up to 2.0e-6; seeded from T's singular
+    # vectors the worst was 1.1e-15 on either corpus and side
+    states, closed = corpus()
+    for side in "AB":
+        discord, diagnostics = _discord_runs(states, side)
+        assert max(d.refinement_iterations for d in diagnostics) < measures._MAX_ROUNDS, side
+        np.testing.assert_allclose(discord, closed, rtol=0.0, atol=4e-15, err_msg=side)
+        for i, rho in enumerate(states):
+            assert quantum_discord(rho, side).value == max(0.0, discord[i]), (side, i)
+
+
+def test_pure_states_stop_once_every_direction_reads_zero():
+    # every direction of a pure state reads zero to rounding, and its runs
+    # used to move on that noise: up to 295 rounds on side A, seeded or not,
+    # and 239 on side B from the grid alone (80 seeded); 12 rounds is a run
+    # that never moves
+    stack = pauli_coefficients(np.array(_ranked_states(200, 3)[:200]))
+    for side in "AB":
+        for seeded in (True, False):
+            values, diagnostics = _optimize(stack, side, OptimizerSettings(), seeded=seeded)
+            assert np.abs(values).max() <= measures._ZERO_BAND, (side, seeded)
+            assert max(d.refinement_iterations for d in diagnostics) <= 12, (side, seeded)
+
+
+def test_the_zero_stop_moves_no_value_and_only_runs_that_end_at_zero(monkeypatch):
+    # states of ranks 2-4 and the family; the runs it shortens are the
+    # family's at t = 0 near theta = 0 and pi, whose minimum is exactly 0
+    states = np.concatenate([
+        np.array(_ranked_states(25, 2022)[25:] + _random_states(50, 1998) + _family_states()),
+        _near_sudden_change()[0],
+    ])
+    stack = pauli_coefficients(states)
+    runs = [(side, seeded) for side in "AB" for seeded in (True, False)]
+    stopped = [_optimize(stack, side, OptimizerSettings(), seeded=seeded) for side, seeded in runs]
+    band = measures._ZERO_BAND
+    monkeypatch.setattr(measures, "_ZERO_BAND", -1.0)
+    for (side, seeded), (values, diagnostics) in zip(runs, stopped):
+        plain_values, plain_diagnostics = _optimize(stack, side, OptimizerSettings(), seeded=seeded)
+        np.testing.assert_array_equal(values, plain_values, err_msg=f"{side} {seeded}")
+        for i, value in enumerate(values):
+            if value > band:
+                assert diagnostics[i] == plain_diagnostics[i], (side, seeded, i)
 
 
 @pytest.fixture(scope="module")
@@ -771,6 +884,22 @@ def test_the_default_grid_and_half_of_it_find_the_best_minimum(grid_corpus, grid
     for side, states, minima in grid_corpus:
         values, _ = _optimize(pauli_coefficients(states), side, settings)
         np.testing.assert_allclose(values, minima, rtol=0.0, atol=1e-12, err_msg=side)
+
+
+@pytest.mark.parametrize("grid_points", [_DEFAULT_GRID // 2, _DEFAULT_GRID])
+def test_the_grid_alone_finds_the_best_minimum_in_the_standard_basis(grid_corpus, grid_points):
+    # the search without the singular-vector seeds, the route verify's
+    # grid-doubling check compares with, on the corpora above and on the
+    # family near its sudden change
+    settings = OptimizerSettings(grid_points=grid_points)
+    for side, states, minima in grid_corpus:
+        values, _ = _optimize(pauli_coefficients(states), side, settings, seeded=False)
+        np.testing.assert_allclose(values, minima, rtol=0.0, atol=1e-12, err_msg=side)
+    states, closed = _near_sudden_change()
+    for side in "AB":
+        discord, diagnostics = _discord_runs(states, side, settings, seeded=False)
+        np.testing.assert_allclose(discord, closed, rtol=0.0, atol=1e-12, err_msg=side)
+        assert max(d.refinement_iterations for d in diagnostics) < measures._MAX_ROUNDS, side
 
 
 def test_best_direction_follows_the_dominant_correlation_axis():
@@ -881,10 +1010,14 @@ def test_optimizer_settings_accept_the_limits():
 
 def test_optimizer_reports_its_work():
     rho = kraus_apply(initial_state(1.1), ChannelSpec(axis="x"), 0.6)
-    diag = optimal_conditional_entropy(rho, settings=OptimizerSettings(grid_points=256)).optimizer
+    settings = OptimizerSettings(grid_points=256)
+    diag = optimal_conditional_entropy(rho, settings=settings).optimizer
     assert diag.refinement_iterations >= 1
-    assert diag.evaluations == diag.grid_points + 8 * diag.refinement_iterations
+    # the grid, the three singular-vector seeds and eight points a round
+    assert diag.evaluations == diag.grid_points + 3 + 8 * diag.refinement_iterations
     assert diag.final_tolerance < diag.final_window <= 4 * diag.final_tolerance
+    (plain,) = _optimize(pauli_coefficients(rho[None]), "A", settings, seeded=False)[1]
+    assert plain.evaluations == plain.grid_points + 8 * plain.refinement_iterations
 
 
 def test_optimizer_is_bit_identical_across_runs():
