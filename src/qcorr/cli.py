@@ -24,6 +24,7 @@ from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
+from .channels import _GAMMA_MAX, _GAMMA_MIN
 from .channels import AXES, ChannelSpec, analytic_evolve, integrate_rk4, kraus_apply
 from .dynamics import SweepGrid, death_time, sweep, verify_suite
 from .linalg import QUBITS
@@ -480,10 +481,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args.steps = DEFAULT_RK4_STEPS
         # a step of more than one decay time nears the edge of RK4's
         # stability (2 gamma h = 2.785), where the decaying modes stop
-        # decaying; the integrator itself rejects a count below 1 (exit 3),
-        # and a NaN gamma*t fails the comparison
+        # decaying; the integrator itself rejects a count below 1 and
+        # ChannelSpec a gamma out of range (exit 3, as for every method), and
+        # a NaN gamma*t fails the comparison
         gamma_t = args.gamma * args.time
-        if args.steps >= 1 and not args.steps >= gamma_t:
+        gamma_ok = _GAMMA_MIN <= args.gamma <= _GAMMA_MAX
+        if args.steps >= 1 and gamma_ok and not args.steps >= gamma_t:
             parser.error(f"--method rk4 needs --steps >= gamma*t = {gamma_t:g}"
                          f" (at most one decay time per step), got {args.steps}")
     if args.command == "sweep":

@@ -244,25 +244,27 @@ def death_time(
     state, bracketing by doubling from t = 1/gamma and bisecting to a width
     of 1e-10 decay times (1e-10 t for roots t past 1/gamma), so the relative
     accuracy does not depend on gamma.  The search is the plain doubling
-    and bisection loop (see _crossing); it reads each score from a table
-    that one stacked call fills with the doubling times and the next call
-    with the midpoints the loop visits if the root lies where the secant in
-    mu = exp(-2 gamma t) puts it.  If that path misses, each further call
-    adds the midpoints of the next three steps.  So an x or z query at
-    theta = pi/4 makes 3 score calls, counting the one past the root, and
-    every query gives the results of scoring one time per call.  Both
-    thresholds scale with s = 1 - score(0), which is 2 (chi2 + chi3 + chi4)
-    at t = 0 and 4 eta on the family, the depth the score sinks to past a
-    death: the search looks for the score falling to 1e-12 s, and the root
-    is certified as a finite death only if the score one decay time past it
-    is at or below min(-1e-6 s, -1e-13).  The fixed floor keeps a score that
-    is zero to rounding (theta = 0 or pi) from certifying.  The discords
-    never reach zero at finite time under these channels, so for them the
-    result is the half-life of the closed form instead, found by the same
-    doubling and bisection, every closed_values call after the first taking
-    the predicted path from the current bracket: 5-6 calls at theta = pi/4.
-    Every positive start has one, however small; a discord that starts at
-    exactly zero (theta = pi/2) gets "none".
+    and bisection loop, one walk of _bisect (see _crossing); it reads each
+    score from a table that one stacked call fills with the doubling times
+    and the next call with the midpoints of the walk toward where the
+    secant in mu = exp(-2 gamma t) puts the root.  If that path misses,
+    each further call adds the midpoints of the walks of the next three
+    steps toward the 8 leaf centres of the current bracket.  So an x or z
+    query at theta = pi/4 makes 3 score calls, counting the one past the
+    root, and every query gives the results of scoring one time per call.
+    Both thresholds scale with s = 1 - score(0), which is 2 (chi2 + chi3 +
+    chi4) at t = 0 and 4 eta on the family, the depth the score sinks to
+    past a death: the search looks for the score falling to 1e-12 s, and the
+    root is certified as a finite death only if the score one decay time
+    past it is at or below min(-1e-6 s, -1e-13).  The fixed floor keeps a
+    score that is zero to rounding (theta = 0 or pi) from certifying.  The
+    discords never reach zero at finite time under these channels, so for
+    them the result is the half-life of the closed form instead, found by
+    the same doubling and bisection, every closed_values call after the
+    first taking the walk toward the secant root of the current bracket:
+    5-6 calls at theta = pi/4.  Every positive start has one, however
+    small; a discord that starts at exactly zero (theta = pi/2) gets
+    "none".
     """
     _check_names((measure,), PAPER_MEASURES)
     if measure == "concurrence":
@@ -282,21 +284,62 @@ def _ladder(g: Callable[[np.ndarray], np.ndarray], gamma: float) -> dict[float, 
     return dict(zip(times, g(np.array(times)).tolist()))
 
 
+def _bisect(
+    lo: float, hi: float, decay_time: float, goes_up: Callable[[float, float, float], bool],
+    steps: int = 201,
+) -> tuple[list[float], tuple[float, float]]:
+    """The one bisection walk of every death-time search: from (lo, hi),
+    move lo up to the midpoint where goes_up(mid, lo, hi) holds and hi down
+    to it otherwise, until the bracket is at most 1e-10 max(decay_time, hi)
+    wide (1e-10 decay times, or 1e-10 relative for later roots) or steps
+    steps are taken; the default 201 is a safety cap that the width stop
+    always reaches first.  Returns the midpoints visited, in order, and the
+    last bracket."""
+    mids: list[float] = []
+    while (hi - lo) > 1e-10 * max(decay_time, hi) and len(mids) < steps:
+        mid = 0.5 * (lo + hi)
+        mids.append(mid)
+        if goes_up(mid, lo, hi):
+            lo = mid
+        else:
+            hi = mid
+    return mids, (lo, hi)
+
+
+def _toward(root: float) -> Callable[[float, float, float], bool]:
+    """The goes_up of a bisection walk toward a known root."""
+    return lambda mid, lo, hi: root > mid
+
+
+def _tree(lo: float, hi: float, decay_time: float, depth: int) -> list[float]:
+    """Every midpoint the next depth bisection steps from (lo, hi) may
+    visit, in time order: those of the depth-step walks toward the 2^depth
+    leaf centres.  Two sibling leaves' walks part only at their last step,
+    after its midpoint is taken, so the walks toward every other leaf
+    centre visit them all."""
+    leaf = (hi - lo) / 2 ** depth
+    walks = [_bisect(lo, hi, decay_time, _toward(lo + (k + 0.5) * leaf), depth)[0]
+             for k in range(0, 2 ** depth, 2)]
+    return sorted(set().union(*walks))
+
+
 def _crossing(
     g: Callable[[np.ndarray], np.ndarray], known: dict[float, float], channel: ChannelSpec,
     target: float, depth: Optional[int]
 ) -> Optional[tuple[float, tuple[float, float], int]]:
     """Bracket the first time g falls to target or below by doubling from
     t = 1/gamma (None if it stays above up to gamma t = 50), then bisect
-    until the bracket is at most 1e-10 max(1/gamma, hi) wide: 1e-10 decay
-    times, or 1e-10 relative for later roots.  Returns (midpoint, bracket,
-    bisections).
+    with _bisect.  Returns (midpoint, bracket, bisections).
 
     Every value is read from known, which maps time to value and starts as
     _ladder(g, gamma).  A midpoint missing from it triggers one g call over
-    the midpoints of _predicted_path, every step left if the prediction
-    holds.  Once a path has missed, a depth given calls over the 2^depth - 1
-    midpoints the next depth steps may visit instead; depth None keeps
+    the midpoints of the predicted path: the walk toward the root that the
+    secant through the bracket's values puts in mu = exp(-2 gamma t).  The
+    Kraus-evolved state is affine in mu, and so is its spin-flip score
+    wherever the largest Bell weight stays the same, so there the first
+    path holds to the last step.  Once a path has missed, a depth given
+    calls over the _tree of the current bracket instead, the midpoints of
+    the depth-step walks toward its 2^depth leaf centres; depth None keeps
     taking the path.  Points are formed as the search forms them, so the
     result is that of one g call per point to the last bit."""
     decay_time, t_cap = 1.0 / channel.gamma, _GAMMA_T_CAP / channel.gamma
@@ -305,55 +348,25 @@ def _crossing(
         lo, hi = hi, 2.0 * hi
         if hi > t_cap:
             return None
-    iterations, missed = 0, False
-    while (hi - lo) > 1e-10 * max(decay_time, hi) and iterations <= 200:
-        mid = 0.5 * (lo + hi)
+    missed = False
+
+    def goes_up(mid: float, lo: float, hi: float) -> bool:
+        nonlocal missed
         if mid not in known:
             if missed and depth is not None:
-                # the width halves each step, and the stop width is at least
-                # 1e-10 max(1/gamma, lo)
-                stop, steps = 1e-10 * max(decay_time, lo), 1
-                while steps < depth and (hi - lo) * 0.5 ** steps > stop:
-                    steps += 1
-                bounds, mids = [(lo, hi)], []
-                for node in range(2 ** steps - 1):
-                    a, b = bounds[node]
-                    split = 0.5 * (a + b)
-                    mids.append(split)
-                    bounds += [(a, split), (split, b)]
+                mids = _tree(lo, hi, decay_time, depth)
             else:
-                mids = _predicted_path(lo, hi, known, channel, target)
+                mu_lo, mu_hi = decay_factor(channel, lo), decay_factor(channel, hi)
+                mu = mu_lo + (target - known[lo]) * (mu_hi - mu_lo) / (known[hi] - known[lo])
+                root = -math.log(mu) / (2.0 * channel.gamma) if mu > 0.0 else math.inf
+                mids = _bisect(lo, hi, decay_time, _toward(root))[0]
             # after the first call, a midpoint missing means a path missed
             missed = True
             known.update(zip(mids, g(np.array(mids)).tolist()))
-        iterations += 1
-        if known[mid] > target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), (lo, hi), iterations
+        return known[mid] > target
 
-
-def _predicted_path(
-    lo: float, hi: float, known: dict[float, float], channel: ChannelSpec, target: float
-) -> list[float]:
-    """The midpoints bisection visits from (lo, hi) to its stop width if the
-    root lies where the secant through the bracket's values puts it, taken
-    in mu = exp(-2 gamma t).  The Kraus-evolved state is affine in mu, and
-    so is its spin-flip score wherever the largest Bell weight stays the
-    same, so there the first path holds to the last step."""
-    mu_lo, mu_hi = decay_factor(channel, lo), decay_factor(channel, hi)
-    mu = mu_lo + (target - known[lo]) * (mu_hi - mu_lo) / (known[hi] - known[lo])
-    root = -math.log(mu) / (2.0 * channel.gamma) if mu > 0.0 else math.inf
-    mids = []
-    while (hi - lo) > 1e-10 * max(1.0 / channel.gamma, hi):
-        mid = 0.5 * (lo + hi)
-        mids.append(mid)
-        if root > mid:
-            lo = mid
-        else:
-            hi = mid
-    return mids
+    mids, (lo, hi) = _bisect(lo, hi, decay_time, goes_up)
+    return 0.5 * (lo + hi), (lo, hi), len(mids)
 
 
 def _concurrence_death(params: StateParams, channel: ChannelSpec) -> DeathTimeResult:

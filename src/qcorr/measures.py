@@ -74,6 +74,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -149,12 +150,14 @@ class OptimizerSettings:
     final_tolerance: float = 1e-7
 
     def __post_init__(self) -> None:
-        if not 32 <= self.grid_points <= MAX_GRID_POINTS:
+        # numbers.Integral and numbers.Real hold NumPy's integers and floats
+        # too, and keep out non-integral sizes, strings and None
+        points, tolerance = self.grid_points, self.final_tolerance
+        if not (isinstance(points, numbers.Integral) and 32 <= points <= MAX_GRID_POINTS):
             raise ValueError(
-                f"grid_points must be in [32, {MAX_GRID_POINTS}], got {self.grid_points}"
-            )
-        if not self.final_tolerance >= 0.0:
-            raise ValueError(f"final_tolerance must be >= 0, got {self.final_tolerance}")
+                f"grid_points must be an integer in [32, {MAX_GRID_POINTS}], got {points!r}")
+        if not (isinstance(tolerance, numbers.Real) and tolerance >= 0.0):
+            raise ValueError(f"final_tolerance must be a number >= 0, got {tolerance!r}")
 
 
 @dataclass(frozen=True)
@@ -558,6 +561,22 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])[..., None]
 
 
+def _improve(candidates: np.ndarray, m: np.ndarray, b1: np.ndarray, rows: np.ndarray,
+             value: np.ndarray, direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one candidate step of the sphere search: evaluate the candidate
+    directions, one (k, 3) set for every row or a (rows, k, 3) stack, with
+    the measurement frame (m, b1) of the states rows, and move each state
+    to its first least candidate where that is strictly lower than its
+    value.  Returns the candidates' values and which rows moved."""
+    values = _conditional_entropy(candidates @ m, b1[:, None, :])
+    each, k = np.arange(len(rows)), values.argmin(axis=1)
+    best = values[each, k]
+    moved = best < value[rows]
+    value[rows[moved]] = best[moved]
+    direction[rows[moved]] = (candidates[k] if candidates.ndim == 2 else candidates[each, k])[moved]
+    return values, moved
+
+
 def _optimize(
     r: np.ndarray, measured_side: str, settings: OptimizerSettings, *, seeded: bool = True
 ) -> tuple[np.ndarray, list[OptimizerDiagnostics]]:
@@ -568,26 +587,20 @@ def _optimize(
     m, b1 = _measurement_frame(r, measured_side)
     n = r.shape[0]
 
+    # the grid, the seeds and every compass round take _improve's step, so
+    # the first grid block moves every state off value = +inf
     dirs = _fibonacci_hemisphere(settings.grid_points)
-    value = np.empty(n)
-    direction = np.empty((n, 3))
+    value = np.full(n, math.inf)
+    direction = np.zeros((n, 3))
     per_block = max(1, _GRID_BLOCK // len(dirs))
     for lo in range(0, n, per_block):
         block = slice(lo, lo + per_block)
-        values = _conditional_entropy(dirs @ m[block], b1[block, None, :])
-        value[block] = values.min(axis=1)
-        direction[block] = dirs[(values == value[block, None]).argmax(axis=1)]
+        _improve(dirs, m[block], b1[block], np.arange(n)[block], value, direction)
     if seeded:
-        # the left singular vectors of T, turned to z >= 0, as rows; one
-        # replaces the grid's best only where it is strictly lower
+        # the left singular vectors of T, turned to z >= 0, as rows
         seeds = np.swapaxes(np.linalg.svd(m[:, :, 1:])[0], 1, 2)
         seeds *= np.where(seeds[:, :, 2:] < 0.0, -1.0, 1.0)
-        values = _conditional_entropy(seeds @ m, b1[:, None, :])
-        k = values.argmin(axis=1)
-        best = values[np.arange(n), k]
-        lower = best < value
-        value[lower] = best[lower]
-        direction[lower] = seeds[lower, k[lower]]
+        _improve(seeds, m, b1, np.arange(n), value, direction)
 
     step = np.full(n, 3.6 / math.sqrt(settings.grid_points))
     final_window = np.empty(n)
@@ -602,16 +615,13 @@ def _optimize(
         tangent = s[:, None, None] * np.stack([e1, _cross(d, e1)], axis=1)
         candidates = d[:, None, :] + _COMPASS @ tangent
         candidates /= _norm(candidates)
-        values = _conditional_entropy(candidates @ m[rows], b1[rows, None, :])
-        k = values.argmin(axis=1)
-        best = values[np.arange(len(rows)), k]
-        moved = best < value[rows]
         # the centre and its eight points all read zero, the conditional
         # entropy's floor, to rounding: a move among them follows noise (on a
-        # pure state every direction reads zero), so the run ends with it
-        floor = (np.abs(values).max(axis=1) <= _ZERO_BAND) & (np.abs(value[rows]) <= _ZERO_BAND)
-        direction[rows[moved]] = candidates[moved, k[moved]]
-        value[rows[moved]] = best[moved]
+        # pure state every direction reads zero), so the run ends with it;
+        # the centre is read before the step moves it
+        floor = np.abs(value[rows]) <= _ZERO_BAND
+        values, moved = _improve(candidates, m[rows], b1[rows], rows, value, direction)
+        floor &= np.abs(values).max(axis=1) <= _ZERO_BAND
         final_window[rows] = s
         # every running state has done the same number of rounds; a run still
         # going past _GROW_AFTER creeps along a flat valley, so its moves

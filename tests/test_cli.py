@@ -605,6 +605,16 @@ def test_rk4_steps_cover_every_decay_time_before_anything_runs(capsys, monkeypat
     assert "--steps >= gamma*t" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["kraus", "analytic", "rk4"])
+@pytest.mark.parametrize("gamma", ["nan", "1e301", "1e-301", "-1"])
+def test_evolve_rejects_a_bad_gamma_with_exit_3_on_every_method(capsys, method, gamma):
+    # rk4 once read gamma*t first and exited 2 on "--steps >= gamma*t = nan"
+    code = main(["evolve", "--theta", "pi/4", "--axis", "x", "--time", "1", "--gamma", gamma,
+                 "--method", method])
+    assert code == 3
+    assert "gamma must be in [1e-300, 1e+300]" in capsys.readouterr().err
+
+
 def test_rk4_at_one_step_per_decay_time_still_runs(capsys):
     code, out = run(capsys, "evolve", "--theta", "pi/4", "--axis", "x", "--time", "6",
                     "--gamma", "2", "--method", "rk4", "--steps", "12", "--json",

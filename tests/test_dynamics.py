@@ -438,6 +438,40 @@ def test_death_time_is_the_sequential_search_to_the_bit(gamma, monkeypatch):
     assert misses > 0
 
 
+def _count_points(monkeypatch) -> list[int]:
+    """The number of times each evaluation call death_time makes reads."""
+    points = []
+    for name in ("kraus_apply", "closed_values"):
+        original = getattr(dynamics, name)
+        monkeypatch.setattr(dynamics, name,
+                            lambda *a, f=original: points.append(np.size(a[2])) or f(*a))
+    return points
+
+
+@pytest.mark.parametrize("theta, axis, measure, calls, points", [
+    # the ladder, one predicted path and the post-root score
+    (math.pi / 4, "x", "concurrence", 3, 42),
+    (math.pi / 4, "z", "concurrence", 3, 42),
+    # a crossing that rounding decides: paths miss, then the post-miss tree
+    (math.pi / 4, "y", "concurrence", 9, 79),
+    (1e-4, "x", "concurrence", 6, 62),
+    (1e-4, "y", "concurrence", 14, 112),
+    (1e-4, "z", "concurrence", 5, 49),
+    (math.pi / 4, "x", "geometric_discord", 5, 110),
+    (math.pi / 4, "x", "quantum_discord", 6, 122),
+    (math.pi / 4, "y", "geometric_discord", 6, 121),
+    (math.pi / 4, "y", "quantum_discord", 6, 121),
+    (math.pi / 4, "z", "geometric_discord", 5, 110),
+    (math.pi / 4, "z", "quantum_discord", 6, 122),
+])
+def test_death_time_work_per_query(monkeypatch, theta, axis, measure, calls, points):
+    counted = _count_points(monkeypatch)
+    for qubit in "AB":
+        counted.clear()
+        death_time(make_params(theta), ChannelSpec(axis=axis, qubit=qubit), measure)
+        assert (len(counted), sum(counted)) == (calls, points), qubit
+
+
 def test_death_time_stacks_its_evaluations(monkeypatch):
     calls = _count_evaluations(monkeypatch)
     params = make_params(math.pi / 4)

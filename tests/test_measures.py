@@ -1008,6 +1008,28 @@ def test_optimizer_settings_accept_the_limits():
     assert OptimizerSettings(grid_points=32, final_tolerance=0.0).final_tolerance == 0.0
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"grid_points": 64.5},
+    {"grid_points": 64.0},
+    {"grid_points": "64"},
+    {"grid_points": None},
+    {"final_tolerance": None},
+    {"final_tolerance": "1e-7"},
+])
+def test_optimizer_settings_reject_values_of_the_wrong_type(kwargs):
+    # 64.5 once ran np.arange(64.5), and "64" or None raised TypeError
+    with pytest.raises(ValueError, match="must be"):
+        OptimizerSettings(**kwargs)
+
+
+def test_optimizer_settings_accept_numpy_numbers():
+    rho = kraus_apply(initial_state(1.1), ChannelSpec(axis="x"), 0.6)
+    given = OptimizerSettings(grid_points=np.int64(64), final_tolerance=np.float64(1e-7))
+    assert given == OptimizerSettings()
+    assert (optimal_conditional_entropy(rho, settings=given)
+            == optimal_conditional_entropy(rho, settings=OptimizerSettings()))
+
+
 def test_optimizer_reports_its_work():
     rho = kraus_apply(initial_state(1.1), ChannelSpec(axis="x"), 0.6)
     settings = OptimizerSettings(grid_points=256)

@@ -8,6 +8,9 @@ eigenvalues loses them to rounding.  Every oracle is also compared with
 itself on the same state under a random local unitary.  The entropic
 oracles still miss by more than the tolerance near gamma t = 1e-12, in
 either comparison, and those cases are marked as failing.
+
+The death-time search's post-miss tree holds every bisection walk's next
+steps, whatever the bracket and the root.
 """
 import math
 
@@ -16,6 +19,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from qcorr import dynamics
 from qcorr.channels import ChannelSpec, kraus_apply
 from qcorr.linalg import pauli_coefficients
 from qcorr.measures import (
@@ -155,3 +159,18 @@ def test_optimal_conditional_entropy_is_below_every_direction(seed, direction, s
     m, b1 = _measurement_frame(pauli_coefficients(rho)[None], side)
     along_n = float(_conditional_entropy(n @ m, b1)[0])
     assert optimal_conditional_entropy(rho, side).value <= along_n + TOL
+
+
+@given(lo=st.floats(0.0, 1e6), width=st.floats(1e-12, 1e6), where=st.floats(0.0, 1.0),
+       decay_time=st.floats(1e-6, 1e6), depth=st.integers(1, 5))
+@example(lo=0.0, width=1.0, where=0.5, decay_time=1.0, depth=3)
+@example(lo=1.0, width=1.0, where=1.0, decay_time=1.0, depth=3)
+def test_every_walk_starts_inside_the_post_miss_tree(lo, width, where, decay_time, depth):
+    hi = lo + width
+    root = lo + where * (hi - lo)
+    walk, _ = dynamics._bisect(lo, hi, decay_time, dynamics._toward(root), depth)
+    tree = dynamics._tree(lo, hi, decay_time, depth)
+    assert set(walk) <= set(tree)
+    # the tree is every full walk's midpoints and no other, so it has at
+    # most 2^depth - 1 of them
+    assert len(tree) <= 2 ** depth - 1
