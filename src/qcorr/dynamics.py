@@ -40,11 +40,10 @@ from .measures import (
     _single_oracle,
     _triple_values,
     _wootters_scores,
+    _xz_expanded,
     closed_values,
     concurrence,
     oracle_values,
-    quantum_discord,
-    quantum_discord_xz_expanded,
     quantum_discord_y_expanded,
     uncorrected_x_concurrence,
 )
@@ -511,23 +510,40 @@ def _closed_vs_oracle(table: SweepTable) -> Iterator[VerifyCheck]:
 
 def _expanded_forms(quick: bool) -> Iterator[VerifyCheck]:
     """The retained literal discord forms against the closed discord, drawn
-    point by point and read from one stack of their triples."""
+    point by point.  The closed discord and the classical correlation the
+    x/z form adds are read from one stack of the draws' triples, each
+    channel's built by one family_triple call over that channel's draws."""
     rng = np.random.default_rng(20260822)
     n_pairs = 50 if quick else 200
-    for suffix, form, count, theta_max in (
-        ("xz", quantum_discord_xz_expanded, n_pairs, math.pi - 0.1),
-        ("y", quantum_discord_y_expanded, n_pairs // 2, math.pi / 2),
-    ):
+    for suffix, count, theta_max in (("xz", n_pairs, math.pi - 0.1),
+                                     ("y", n_pairs // 2, math.pi / 2)):
         draws = []
         for _ in range(count):
             theta = float(rng.uniform(0.1, theta_max))
             t = float(rng.uniform(0.0, 3.0))
             axis = "y" if suffix == "y" else "x" if rng.integers(2) else "z"
             draws.append((make_params(theta), _CHANNELS[axis], t))
-        c = np.array([family_triple(*draw) for draw in draws])
-        closed = _triple_values(c, ("quantum_discord",))["quantum_discord"].tolist()
-        err = max(abs(form(*draw) - value) for draw, value in zip(draws, closed))
+        values = _triple_values(_draw_triples(draws), ("quantum_discord", "classical_correlation"))
+        closed = values["quantum_discord"].tolist()
+        if suffix == "xz":
+            forms = [_xz_expanded(params.eta, params.xi, decay_factor(channel, t), cc)
+                     for (params, channel, t), cc
+                     in zip(draws, values["classical_correlation"].tolist())]
+        else:
+            forms = [quantum_discord_y_expanded(*draw) for draw in draws]
+        err = max(abs(form - value) for form, value in zip(forms, closed))
         yield _check(f"discord_expanded_form_identity_{suffix}", err, 1e-10)
+
+
+def _draw_triples(draws: list[tuple[StateParams, ChannelSpec, float]]) -> np.ndarray:
+    """family_triple at each (params, channel, t) draw, in draw order: one
+    call per channel on its draws' params x times grid, read on the diagonal."""
+    c = np.empty((len(draws), 3))
+    for channel in dict.fromkeys(channel for _, channel, _ in draws):
+        rows = [k for k, draw in enumerate(draws) if draw[1] == channel]
+        params, _, times = zip(*(draws[k] for k in rows))
+        c[rows] = np.diagonal(family_triple(params, channel, times)).T
+    return c
 
 
 def _esd_times() -> Iterator[VerifyCheck]:
@@ -615,14 +631,13 @@ def _optimizer_robust(
     grid alone, without the singular-vector seeds, on twice the grid (half
     where the double would pass MAX_GRID_POINTS), and it must match the
     closed discord at and just around the sudden change t_sc = ln(1/q)/(2
-    gamma) (gamma = 1), where the conditional entropy's valley is flat."""
+    gamma) (gamma = 1), where the conditional entropy's valley is flat.  Both
+    seeded discord checks read one optimizer stack: the 16 states near t_sc
+    with the grid-doubling state last."""
     rho_ref = kraus_apply(initial_state(thetas[len(thetas) // 2]), _CHANNELS["x"], times[2])
     given = optimizer or OptimizerSettings()
     n = given.grid_points
     other = replace(given, grid_points=2 * n if 2 * n <= MAX_GRID_POINTS else n // 2)
-    err = abs(quantum_discord(rho_ref, settings=given).value
-              - _single_oracle("quantum_discord", rho_ref, "A", other, seeded=False).value)
-    yield _check("optimizer_grid_doubling_stable", err, 1e-6)
     states, closed = [], []
     for theta in (0.9, 2.0):
         params = make_params(theta)
@@ -631,8 +646,12 @@ def _optimizer_robust(
         for axis in ("x", "z"):
             states.append(kraus_apply(initial_state(params), _CHANNELS[axis], near))
             closed.append(closed_values(params, _CHANNELS[axis], near, ("quantum_discord",)))
-    oracle = oracle_values(np.concatenate(states), ("quantum_discord",), optimizer)
-    err_sc = float(np.abs(oracle["quantum_discord"]
+    oracle = oracle_values(np.concatenate([*states, rho_ref[None]]), ("quantum_discord",),
+                           given)["quantum_discord"]
+    err = abs(float(oracle[-1])
+              - _single_oracle("quantum_discord", rho_ref, "A", other, seeded=False).value)
+    yield _check("optimizer_grid_doubling_stable", err, 1e-6)
+    err_sc = float(np.abs(oracle[:-1]
                           - np.concatenate([c["quantum_discord"] for c in closed])).max())
     yield _check("discord_oracle_near_sudden_change", err_sc, 1e-12)
 

@@ -279,15 +279,26 @@ def quantum_discord_xz_expanded(params: StateParams, channel: ChannelSpec, t: fl
             + (8 xi - 3) ln(xi/eta)] + SC,
 
     where SC = 1 - classical correlation is the optimal conditional entropy.
-    Requires eta > 0 (the logarithm ratio degenerates at theta = 0); the
-    vt = 0 term at t = 0 contributes zero by the x log x convention.
+    Requires eta > 0 (the logarithm ratio degenerates at theta = 0) and a
+    finite xi/eta, which overflows for eta below about 3e-309 (|theta| below
+    about 1e-154); the vt = 0 term at t = 0 contributes zero by the x log x
+    convention.
     """
     if channel.axis not in ("x", "z"):
         raise ValueError("the expanded form covers the x and z axes only")
     eta, xi = params.eta, params.xi
-    if eta <= 0.0:
-        raise ValueError("the expanded form requires eta > 0")
+    if eta <= 0.0 or math.isinf(xi / eta):
+        raise ValueError(f"the expanded form requires eta > 0 with xi/eta finite, got eta = {eta!r}"
+                         f" (xi/eta overflows below about 3e-309)")
     mu = decay_factor(channel, t)
+    cc = closed_values(params, channel, t, ("classical_correlation",))["classical_correlation"]
+    return _xz_expanded(eta, xi, mu, float(cc))
+
+
+def _xz_expanded(eta: float, xi: float, mu: float, cc: float) -> float:
+    """The arithmetic of quantum_discord_xz_expanded at mixture weights eta
+    and xi, decay factor mu and classical correlation cc, without its domain
+    checks."""
     nu = (1.0 + mu) / 2.0
     vt = (1.0 - mu) / 2.0
     ln16 = math.log(16.0)
@@ -298,8 +309,7 @@ def quantum_discord_xz_expanded(params: StateParams, channel: ChannelSpec, t: fl
             return 0.0
         return u / ln16 * (math.log((8.0 * u) ** 4 * xi**3 * eta) + (8.0 * xi - 3.0) * log_ratio)
 
-    cc = closed_values(params, channel, t, ("classical_correlation",))["classical_correlation"]
-    return -1.0 + term(nu) + term(vt) + (1.0 - float(cc))
+    return -1.0 + term(nu) + term(vt) + (1.0 - cc)
 
 
 def quantum_discord_y_expanded(params: StateParams, channel: ChannelSpec, t: float) -> float:

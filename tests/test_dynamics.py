@@ -732,37 +732,88 @@ def test_verify_checks_the_discord_oracle_near_the_sudden_change(monkeypatch):
 
 
 def test_verify_grid_doubling_runs_the_given_settings(monkeypatch):
-    # the lone discord runs are the seeded search with the given settings and
-    # the search from the grid alone on twice the grid, with the given
-    # tolerance; at the largest grid the grid-only run takes half
+    # the seeded discord run is the near-t_sc stack's, with the given
+    # settings, and the search from the grid alone runs on twice the grid,
+    # with the given tolerance; at the largest grid the grid-only run takes half
     seen = []
 
-    def spy(rho, settings=None, **kwargs):
+    def stack_spy(rho, names, settings=None):
         seen.append((settings, True))
-        return quantum_discord(rho, settings=settings, **kwargs)
+        return measures.oracle_values(rho, names, settings)
 
     def seedless_spy(name, rho, side, settings, *, seeded):
         seen.append((settings, seeded))
         return measures._single_oracle(name, rho, side, settings, seeded=seeded)
 
-    monkeypatch.setattr(dynamics, "quantum_discord", spy)
+    monkeypatch.setattr(dynamics, "oracle_values", stack_spy)
     monkeypatch.setattr(dynamics, "_single_oracle", seedless_spy)
     given = OptimizerSettings(grid_points=32, final_tolerance=1e-8)
-    assert verify_suite(quick=True, optimizer=given).passed
+    checks = list(dynamics._optimizer_robust(*_verify_grid(quick=True), given))
+    assert [c.status for c in checks] == ["pass", "pass"]
     assert seen == [(given, True), (OptimizerSettings(grid_points=64, final_tolerance=1e-8), False)]
 
-    def record(rho, settings=None):
+    def stack_record(rho, names, settings=None):
+        seen.append(settings.grid_points)
+        return {name: np.zeros(len(rho)) for name in names}
+
+    def lone_record(name, rho, side, settings, *, seeded):
         seen.append(settings.grid_points)
         return measures.MeasureResult(0.0, "oracle")
 
     seen.clear()
-    monkeypatch.setattr(dynamics, "quantum_discord", record)
-    monkeypatch.setattr(dynamics, "_single_oracle",
-                        lambda name, rho, side, settings, *, seeded: record(rho, settings))
+    monkeypatch.setattr(dynamics, "oracle_values", stack_record)
+    monkeypatch.setattr(dynamics, "_single_oracle", lone_record)
     largest = measures.MAX_GRID_POINTS
     next(dynamics._optimizer_robust(*_verify_grid(quick=True),
                                     OptimizerSettings(grid_points=largest)))
     assert seen == [largest, largest // 2]
+
+
+def test_verify_groups_read_whole_stacks(monkeypatch):
+    # the expanded-form check makes no scalar closed-form call and one
+    # family_triple call per channel drawn; both seeded discord checks share
+    # one optimizer run over the 16 near-t_sc states and rho_ref, beside the
+    # grid-alone run on rho_ref
+    group, calls = [None], []
+
+    def tag(name):
+        run = getattr(dynamics, name)
+
+        def tagged(*args):
+            group[0] = name
+            try:
+                yield from run(*args)
+            finally:
+                group[0] = None
+
+        monkeypatch.setattr(dynamics, name, tagged)
+
+    def spy(module, attr, describe):
+        real = getattr(module, attr)
+
+        def spying(*args, **kwargs):
+            if group[0] is not None:
+                calls.append((group[0], describe(*args, **kwargs)))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, spying)
+
+    tag("_expanded_forms")
+    tag("_optimizer_robust")
+    for module in (dynamics, measures):
+        spy(module, "closed_values", lambda *args, **kwargs: "closed_values")
+        spy(module, "family_triple",
+            lambda params, channel=None, t=0.0: f"family_triple {channel.axis}")
+    spy(measures, "_optimize",
+        lambda r, side, settings, seeded=True: f"_optimize {len(r)} seeded={seeded}")
+    for quick in (False, True):
+        calls.clear()
+        assert verify_suite(quick=quick).passed
+        expanded = sorted(call for name, call in calls if name == "_expanded_forms")
+        assert expanded == ["family_triple x", "family_triple y", "family_triple z"]
+        runs = [call for name, call in calls
+                if name == "_optimizer_robust" and call.startswith("_optimize")]
+        assert runs == ["_optimize 17 seeded=True", "_optimize 1 seeded=False"]
 
 
 @pytest.mark.parametrize(

@@ -350,6 +350,12 @@ def test_expanded_discord_domain_errors():
         quantum_discord_xz_expanded(p, ChannelSpec(axis="y"), 0.5)
     with pytest.raises(ValueError):
         quantum_discord_xz_expanded(make_params(0.0), ChannelSpec(axis="x"), 0.5)
+    # eta = 2.5e-311 > 0, but xi/eta overflows to inf
+    with pytest.raises(ValueError, match="overflows"):
+        quantum_discord_xz_expanded(make_params(1e-155), ChannelSpec(axis="z"), 0.5)
+    # just above the overflow the form keeps its value
+    assert quantum_discord_xz_expanded(
+        make_params(1e-150), ChannelSpec(axis="z"), 0.5) == 0.0999544084764823
     with pytest.raises(ValueError):
         quantum_discord_y_expanded(p, ChannelSpec(axis="x"), 0.5)
     with pytest.raises(ValueError):
