@@ -287,9 +287,11 @@ def quantum_discord_xz_expanded(params: StateParams, channel: ChannelSpec, t: fl
     if channel.axis not in ("x", "z"):
         raise ValueError("the expanded form covers the x and z axes only")
     eta, xi = params.eta, params.xi
-    if eta <= 0.0 or math.isinf(xi / eta):
-        raise ValueError(f"the expanded form requires eta > 0 with xi/eta finite, got eta = {eta!r}"
-                         f" (xi/eta overflows below about 3e-309)")
+    if eta <= 0.0:
+        raise ValueError("the expanded form requires eta > 0")
+    if math.isinf(xi / eta):
+        raise ValueError(f"the expanded form requires a finite xi/eta, which overflows for"
+                         f" eta = {eta!r} (below about 3e-309)")
     mu = decay_factor(channel, t)
     cc = closed_values(params, channel, t, ("classical_correlation",))["classical_correlation"]
     return _xz_expanded(eta, xi, mu, float(cc))

@@ -732,10 +732,21 @@ def test_verify_checks_the_discord_oracle_near_the_sudden_change(monkeypatch):
 
 
 def test_verify_grid_doubling_runs_the_given_settings(monkeypatch):
-    # the seeded discord run is the near-t_sc stack's, with the given
-    # settings, and the search from the grid alone runs on twice the grid,
-    # with the given tolerance; at the largest grid the grid-only run takes half
-    seen = []
+    # verify passes the given settings on to the optimizer checks and passes
+    # with them; the seeded discord run is the near-t_sc stack's, with the
+    # given settings, and the search from the grid alone runs on twice the
+    # grid, with the given tolerance; at the largest grid the grid-only run
+    # takes half
+    robust, reached, seen = dynamics._optimizer_robust, [], []
+
+    def robust_spy(thetas, times, optimizer):
+        reached.append(optimizer)
+        return robust(thetas, times, optimizer)
+
+    monkeypatch.setattr(dynamics, "_optimizer_robust", robust_spy)
+    given = OptimizerSettings(grid_points=32, final_tolerance=1e-8)
+    assert verify_suite(quick=True, optimizer=given).passed
+    assert reached == [given]
 
     def stack_spy(rho, names, settings=None):
         seen.append((settings, True))
@@ -747,8 +758,7 @@ def test_verify_grid_doubling_runs_the_given_settings(monkeypatch):
 
     monkeypatch.setattr(dynamics, "oracle_values", stack_spy)
     monkeypatch.setattr(dynamics, "_single_oracle", seedless_spy)
-    given = OptimizerSettings(grid_points=32, final_tolerance=1e-8)
-    checks = list(dynamics._optimizer_robust(*_verify_grid(quick=True), given))
+    checks = list(robust(*_verify_grid(quick=True), given))
     assert [c.status for c in checks] == ["pass", "pass"]
     assert seen == [(given, True), (OptimizerSettings(grid_points=64, final_tolerance=1e-8), False)]
 
@@ -764,8 +774,7 @@ def test_verify_grid_doubling_runs_the_given_settings(monkeypatch):
     monkeypatch.setattr(dynamics, "oracle_values", stack_record)
     monkeypatch.setattr(dynamics, "_single_oracle", lone_record)
     largest = measures.MAX_GRID_POINTS
-    next(dynamics._optimizer_robust(*_verify_grid(quick=True),
-                                    OptimizerSettings(grid_points=largest)))
+    next(robust(*_verify_grid(quick=True), OptimizerSettings(grid_points=largest)))
     assert seen == [largest, largest // 2]
 
 

@@ -348,7 +348,7 @@ def test_expanded_discord_domain_errors():
     p = make_params(1.0)
     with pytest.raises(ValueError):
         quantum_discord_xz_expanded(p, ChannelSpec(axis="y"), 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="eta > 0"):
         quantum_discord_xz_expanded(make_params(0.0), ChannelSpec(axis="x"), 0.5)
     # eta = 2.5e-311 > 0, but xi/eta overflows to inf
     with pytest.raises(ValueError, match="overflows"):
