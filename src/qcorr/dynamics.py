@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import time as _time
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -240,30 +240,20 @@ def death_time(
     """Find when a measure dies (concurrence) or halves (discords).
 
     Concurrence uses the signed spin-flip score of the independently evolved
-    state, bracketing by doubling from t = 1/gamma and bisecting to a width
-    of 1e-10 decay times (1e-10 t for roots t past 1/gamma), so the relative
-    accuracy does not depend on gamma.  The search is the plain doubling
-    and bisection loop, one walk of _bisect (see _crossing); it reads each
-    score from a table that one stacked call fills with the doubling times
-    and the next call with the midpoints of the walk toward where the
-    secant in mu = exp(-2 gamma t) puts the root.  If that path misses,
-    each further call adds the midpoints of the walks of the next three
-    steps toward the 8 leaf centres of the current bracket.  So an x or z
-    query at theta = pi/4 makes 3 score calls, counting the one past the
-    root, and every query gives the results of scoring one time per call.
-    Both thresholds scale with s = 1 - score(0), which is 2 (chi2 + chi3 +
-    chi4) at t = 0 and 4 eta on the family, the depth the score sinks to
-    past a death: the search looks for the score falling to 1e-12 s, and the
-    root is certified as a finite death only if the score one decay time
+    state.  Both thresholds scale with s = 1 - score(0), which is 2 (chi2 +
+    chi3 + chi4) at t = 0 and 4 eta on the family, the depth the score sinks
+    to past a death: the search looks for the score falling to 1e-12 s, and
+    the root is certified as a finite death only if the score one decay time
     past it is at or below min(-1e-6 s, -1e-13).  The fixed floor keeps a
     score that is zero to rounding (theta = 0 or pi) from certifying.  The
     discords never reach zero at finite time under these channels, so for
-    them the result is the half-life of the closed form instead, found by
-    the same doubling and bisection, every closed_values call after the
-    first taking the walk toward the secant root of the current bracket:
-    5-6 calls at theta = pi/4.  Every positive start has one, however
-    small; a discord that starts at exactly zero (theta = pi/2) gets
-    "none".
+    them the result is the half-life of the closed form.  Every positive
+    start has one, however small; a discord that starts at exactly zero
+    (theta = pi/2) gets "none", and so does a crossing past gamma t = 50.
+    Roots are bracketed to a width of 1e-10 decay times (1e-10 t for roots
+    t past 1/gamma), so the relative accuracy does not depend on gamma, and
+    every result is that of evaluating one time per call; the search is
+    _crossing's.
     """
     _check_names((measure,), PAPER_MEASURES)
     if measure == "concurrence":
@@ -305,66 +295,61 @@ def _bisect(
     return mids, (lo, hi)
 
 
-def _toward(root: float) -> Callable[[float, float, float], bool]:
-    """The goes_up of a bisection walk toward a known root."""
-    return lambda mid, lo, hi: root > mid
-
-
-def _tree(lo: float, hi: float, decay_time: float, depth: int) -> list[float]:
-    """Every midpoint the next depth bisection steps from (lo, hi) may
-    visit, in time order: those of the depth-step walks toward the 2^depth
-    leaf centres.  Two sibling leaves' walks part only at their last step,
-    after its midpoint is taken, so the walks toward every other leaf
-    centre visit them all."""
-    leaf = (hi - lo) / 2 ** depth
-    walks = [_bisect(lo, hi, decay_time, _toward(lo + (k + 0.5) * leaf), depth)[0]
-             for k in range(0, 2 ** depth, 2)]
-    return sorted(set().union(*walks))
+def _walks(lo: float, hi: float, decay_time: float, targets: Iterable[float], steps: int = 201
+           ) -> list[float]:
+    """The midpoints of the _bisect walks from (lo, hi) toward each of
+    targets, at most steps steps each (by default _bisect's own cap): one
+    walk's in the order taken, the union of several in time order."""
+    walks = [_bisect(lo, hi, decay_time, lambda mid, lo, hi, at=at: at > mid, steps)[0]
+             for at in targets]
+    # a lone walk skips the set, which would add 6-10% to a half-life's time
+    return walks[0] if len(walks) == 1 else sorted(set().union(*walks))
 
 
 def _crossing(
     g: Callable[[np.ndarray], np.ndarray], known: dict[float, float], channel: ChannelSpec,
     target: float, depth: Optional[int]
 ) -> Optional[tuple[float, tuple[float, float], int]]:
-    """Bracket the first time g falls to target or below by doubling from
-    t = 1/gamma (None if it stays above up to gamma t = 50), then bisect
-    with _bisect.  Returns (midpoint, bracket, bisections).
+    """Bisect, with _bisect, the first bracket of the ladder's rungs across
+    which g falls to target or below.  Returns (midpoint, bracket,
+    bisections), or None if no rung up to gamma t = 50 reaches target.
 
     Every value is read from known, which maps time to value and starts as
-    _ladder(g, gamma).  A midpoint missing from it triggers one g call over
-    the midpoints of the predicted path: the walk toward the root that the
-    secant through the bracket's values puts in mu = exp(-2 gamma t).  The
-    Kraus-evolved state is affine in mu, and so is its spin-flip score
-    wherever the largest Bell weight stays the same, so there the first
-    path holds to the last step.  Once a path has missed, a depth given
-    calls over the _tree of the current bracket instead, the midpoints of
-    the depth-step walks toward its 2^depth leaf centres; depth None keeps
-    taking the path.  Points are formed as the search forms them, so the
+    _ladder(g, gamma): the first bracket is the last rung above target and
+    the first that is not.  A midpoint missing from known triggers one g
+    call over the _walks from the current bracket.  The first call, and
+    every call while depth is None, takes the predicted path: the one walk
+    toward the root that the secant through the bracket's values puts in
+    mu = exp(-2 gamma t).  The Kraus-evolved state is affine in mu, and so
+    is its spin-flip score wherever the largest Bell weight stays the same,
+    so there the first path holds to the last step.  Once a path has missed,
+    a depth given calls over the post-miss tree instead: the depth-step
+    walks toward the 2^depth leaf centres of the bracket, of which the even
+    ones suffice, as two sibling leaves' walks part only after their last
+    midpoint is taken.  Points are formed as the search forms them, so the
     result is that of one g call per point to the last bit."""
-    decay_time, t_cap = 1.0 / channel.gamma, _GAMMA_T_CAP / channel.gamma
-    lo, hi = 0.0, decay_time
-    while known[hi] > target:
-        lo, hi = hi, 2.0 * hi
-        if hi > t_cap:
-            return None
-    missed = False
+    decay_time, rungs = 1.0 / channel.gamma, list(known)
+    bracket = next(((lo, hi) for lo, hi in zip(rungs, rungs[1:]) if not known[hi] > target), None)
+    if bracket is None:
+        return None
 
     def goes_up(mid: float, lo: float, hi: float) -> bool:
-        nonlocal missed
         if mid not in known:
-            if missed and depth is not None:
-                mids = _tree(lo, hi, decay_time, depth)
+            # known holds more than the rungs once the first refill has run,
+            # and a midpoint missing then means its predicted path missed
+            if len(known) > len(rungs) and depth is not None:
+                leaf = (hi - lo) / 2 ** depth
+                centres = [lo + (k + 0.5) * leaf for k in range(0, 2 ** depth, 2)]
+                mids = _walks(lo, hi, decay_time, centres, depth)
             else:
                 mu_lo, mu_hi = decay_factor(channel, lo), decay_factor(channel, hi)
                 mu = mu_lo + (target - known[lo]) * (mu_hi - mu_lo) / (known[hi] - known[lo])
                 root = -math.log(mu) / (2.0 * channel.gamma) if mu > 0.0 else math.inf
-                mids = _bisect(lo, hi, decay_time, _toward(root))[0]
-            # after the first call, a midpoint missing means a path missed
-            missed = True
+                mids = _walks(lo, hi, decay_time, [root])
             known.update(zip(mids, g(np.array(mids)).tolist()))
         return known[mid] > target
 
-    mids, (lo, hi) = _bisect(lo, hi, decay_time, goes_up)
+    mids, (lo, hi) = _bisect(*bracket, decay_time, goes_up)
     return 0.5 * (lo + hi), (lo, hi), len(mids)
 
 

@@ -279,10 +279,11 @@ def quantum_discord_xz_expanded(params: StateParams, channel: ChannelSpec, t: fl
             + (8 xi - 3) ln(xi/eta)] + SC,
 
     where SC = 1 - classical correlation is the optimal conditional entropy.
-    Requires eta > 0 (the logarithm ratio degenerates at theta = 0) and a
+    Requires eta > 0 (the logarithm ratio degenerates at theta = 0), a
     finite xi/eta, which overflows for eta below about 3e-309 (|theta| below
-    about 1e-154); the vt = 0 term at t = 0 contributes zero by the x log x
-    convention.
+    about 1e-154), and a nonzero (8 vt)^4 xi^3 eta, which underflows where
+    eta and vt are both tiny (theta = 1e-150 with gamma t = 1e-10); the
+    vt = 0 term at t = 0 contributes zero by the x log x convention.
     """
     if channel.axis not in ("x", "z"):
         raise ValueError("the expanded form covers the x and z axes only")
@@ -293,6 +294,9 @@ def quantum_discord_xz_expanded(params: StateParams, channel: ChannelSpec, t: fl
         raise ValueError(f"the expanded form requires a finite xi/eta, which overflows for"
                          f" eta = {eta!r} (below about 3e-309)")
     mu = decay_factor(channel, t)
+    # the vt term's logarithm argument, as 8 vt = 4 (1 - mu) exactly
+    if mu < 1.0 and (4.0 * (1.0 - mu)) ** 4 * xi**3 * eta == 0.0:
+        raise ValueError(f"(8 vt)^4 xi^3 eta underflows to 0 in the expanded form at t = {t!r}")
     cc = closed_values(params, channel, t, ("classical_correlation",))["classical_correlation"]
     return _xz_expanded(eta, xi, mu, float(cc))
 

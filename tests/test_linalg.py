@@ -129,8 +129,8 @@ def test_entropy_is_additive_on_product_states():
 
 
 def test_spectrum_entropy_drops_dust_and_sums_along_its_axis():
-    # entries at or below 1e-12 count as zeros; 1e-11 still contributes
-    w = np.array([[0.5, 0.5, 1e-13, -1e-13], [1.0 - 1e-11, 1e-11, 0.0, 0.0]])
+    # entries at or below 1e-14 count as zeros; 1e-11 still contributes
+    w = np.array([[0.5, 0.5, 1e-15, -1e-15], [1.0 - 1e-11, 1e-11, 0.0, 0.0]])
     h = spectrum_entropy(w)
     assert h[0] == 1.0
     big, small = 1.0 - 1e-11, 1e-11

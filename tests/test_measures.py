@@ -356,6 +356,10 @@ def test_expanded_discord_domain_errors():
     # just above the overflow the form keeps its value
     assert quantum_discord_xz_expanded(
         make_params(1e-150), ChannelSpec(axis="z"), 0.5) == 0.0999544084764823
+    # there at gamma t = 1e-10, (8 vt)^4 xi^3 eta underflows to 0 before its
+    # logarithm, while the closed discord is 0.999999996533802
+    with pytest.raises(ValueError, match="underflows"):
+        quantum_discord_xz_expanded(make_params(1e-150), ChannelSpec(axis="z"), 1e-10)
     with pytest.raises(ValueError):
         quantum_discord_y_expanded(p, ChannelSpec(axis="x"), 0.5)
     with pytest.raises(ValueError):
@@ -841,13 +845,17 @@ def test_pure_states_stop_once_every_direction_reads_zero():
     # every direction of a pure state reads zero to rounding, and its runs
     # used to move on that noise: up to 295 rounds on side A, seeded or not,
     # and 239 on side B from the grid alone (80 seeded); 12 rounds is a run
-    # that never moves
+    # that never moves.  A run may move once more: where an outcome is rare
+    # (p = 2.3e-3 for state 87, side A, seeded), rounding of the Bloch radius
+    # leaves the pure conditional state an eigenvalue of up to 3e-14, above
+    # the 1e-14 entropy cutoff, so its compass reads up to 14 eps for a few
+    # rounds and the zero stop waits (13 rounds)
     stack = pauli_coefficients(np.array(_ranked_states(200, 3)[:200]))
     for side in "AB":
         for seeded in (True, False):
             values, diagnostics = _optimize(stack, side, OptimizerSettings(), seeded=seeded)
             assert np.abs(values).max() <= measures._ZERO_BAND, (side, seeded)
-            assert max(d.refinement_iterations for d in diagnostics) <= 12, (side, seeded)
+            assert max(d.refinement_iterations for d in diagnostics) <= 13, (side, seeded)
 
 
 def test_the_zero_stop_moves_no_value_and_only_runs_that_end_at_zero(monkeypatch):
