@@ -69,6 +69,9 @@ __all__ = [
 ]
 
 _GAMMA_T_CAP = 50.0
+# the ladder's doubling rungs 2^k / gamma, k < _RUNGS, reach up to
+# gamma t = _GAMMA_T_CAP: 1, 2, 4, ..., 32
+_RUNGS = int(math.log2(_GAMMA_T_CAP)) + 1
 _SCORE_THRESHOLD = 1e-12
 _CERTIFY_MARGIN = -1e-6
 # the scaled certification margin is never closer to zero than this, far
@@ -262,14 +265,10 @@ def death_time(
 
 
 def _ladder(g: Callable[[np.ndarray], np.ndarray], gamma: float) -> dict[float, float]:
-    """The table a crossing search reads: g at t = 0 and at the doubling
-    times 2^k / gamma up to gamma t = 50, from one call to g (which maps an
-    array of times to an array of values)."""
-    times = [0.0]
-    t, t_cap = 1.0 / gamma, _GAMMA_T_CAP / gamma
-    while t <= t_cap:
-        times.append(t)
-        t *= 2.0
+    """The table a crossing search reads: g at t = 0 and at the _RUNGS
+    doubling times 2^k / gamma, k < _RUNGS, up to gamma t = 50, from one
+    call to g (which maps an array of times to an array of values)."""
+    times = [0.0] + [2.0**k / gamma for k in range(_RUNGS)]
     return dict(zip(times, g(np.array(times)).tolist()))
 
 

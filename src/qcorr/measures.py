@@ -23,8 +23,9 @@ public one-state functions run the same kernels with n = 1.  The optimizer
 evaluates its grid in blocks of (state, direction) pairs and its seeds from
 one batched SVD, then refines all states in rounds: each round evaluates
 eight compass points in the tangent plane for every state whose search is
-still running, as one array, and each state keeps its own step, stopping
-rule, tie-breaks and diagnostics.
+still running, as one array of those states alone, and each state keeps its
+own step, stopping rule and tie-breaks, and its tangent basis until it
+moves.  Diagnostics are built only for a one-state result that reports them.
 Every kernel adds its terms in an order that does not depend on the stack,
 so a state's values are bit for bit the same alone or inside any stack.
 
@@ -75,8 +76,9 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -281,9 +283,12 @@ def quantum_discord_xz_expanded(params: StateParams, channel: ChannelSpec, t: fl
     where SC = 1 - classical correlation is the optimal conditional entropy.
     Requires eta > 0 (the logarithm ratio degenerates at theta = 0), a
     finite xi/eta, which overflows for eta below about 3e-309 (|theta| below
-    about 1e-154), and a nonzero (8 vt)^4 xi^3 eta, which underflows where
-    eta and vt are both tiny (theta = 1e-150 with gamma t = 1e-10); the
-    vt = 0 term at t = 0 contributes zero by the x log x convention.
+    about 1e-154), and a normal (8 vt)^4 xi^3 eta, at least
+    sys.float_info.min, which it falls below where eta and vt are both tiny
+    (to 0 at theta = 1e-150 with gamma t = 1e-10; to a subnormal, whose lost
+    bits put the form 1.2e-6 off the closed discord, at theta = 1e-153 with
+    gamma t = 1.58e-5); the vt = 0 term at t = 0 contributes zero by the
+    x log x convention.
     """
     if channel.axis not in ("x", "z"):
         raise ValueError("the expanded form covers the x and z axes only")
@@ -294,9 +299,11 @@ def quantum_discord_xz_expanded(params: StateParams, channel: ChannelSpec, t: fl
         raise ValueError(f"the expanded form requires a finite xi/eta, which overflows for"
                          f" eta = {eta!r} (below about 3e-309)")
     mu = decay_factor(channel, t)
-    # the vt term's logarithm argument, as 8 vt = 4 (1 - mu) exactly
-    if mu < 1.0 and (4.0 * (1.0 - mu)) ** 4 * xi**3 * eta == 0.0:
-        raise ValueError(f"(8 vt)^4 xi^3 eta underflows to 0 in the expanded form at t = {t!r}")
+    # the vt term's logarithm argument, as 8 vt = 4 (1 - mu) exactly; a
+    # subnormal one has lost bits before its logarithm is taken
+    if mu < 1.0 and (4.0 * (1.0 - mu)) ** 4 * xi**3 * eta < sys.float_info.min:
+        raise ValueError(f"(8 vt)^4 xi^3 eta underflows below the smallest normal float"
+                         f" ({sys.float_info.min!r}) in the expanded form at t = {t!r}")
     cc = closed_values(params, channel, t, ("classical_correlation",))["classical_correlation"]
     return _xz_expanded(eta, xi, mu, float(cc))
 
@@ -577,6 +584,15 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])[..., None]
 
 
+def _tangent_basis(d: np.ndarray) -> np.ndarray:
+    """An (n, 2, 3) tangent basis (e1, e2) at each unit direction of the
+    (n, 3) stack d: e1 is d crossed with whichever of x and y is far from d,
+    normalised, and e2 = d x e1."""
+    e1 = _cross(d, np.where(np.abs(d[:, :1]) < 0.6, _X_HAT, _Y_HAT))
+    e1 /= _norm(e1)
+    return np.stack([e1, _cross(d, e1)], axis=1)
+
+
 def _improve(candidates: np.ndarray, m: np.ndarray, b1: np.ndarray, rows: np.ndarray,
              value: np.ndarray, direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The one candidate step of the sphere search: evaluate the candidate
@@ -593,13 +609,45 @@ def _improve(candidates: np.ndarray, m: np.ndarray, b1: np.ndarray, rows: np.nda
     return values, moved
 
 
+class _Runs(NamedTuple):
+    """Where each state's sphere search ended, one row per state: its best
+    direction (n, 3), its compass rounds (n,) and the step of its last
+    round (n,)."""
+
+    direction: np.ndarray
+    rounds: np.ndarray
+    final_window: np.ndarray
+
+
+def _diagnostics(runs: _Runs, i: int, settings: OptimizerSettings, seeded: bool
+                 ) -> OptimizerDiagnostics:
+    """State i's OptimizerDiagnostics from a search with these settings."""
+    grid, count = len(_fibonacci_hemisphere(settings.grid_points)), int(runs.rounds[i])
+    return OptimizerDiagnostics(
+        best_direction=tuple(runs.direction[i].tolist()),
+        grid_points=grid,
+        refinement_iterations=count,
+        final_tolerance=settings.final_tolerance,
+        evaluations=grid + 3 * seeded + len(_COMPASS) * count,
+        final_window=float(runs.final_window[i]),
+    )
+
+
 def _optimize(
     r: np.ndarray, measured_side: str, settings: OptimizerSettings, *, seeded: bool = True
-) -> tuple[np.ndarray, list[OptimizerDiagnostics]]:
+) -> tuple[np.ndarray, _Runs]:
     """Minimal conditional entropy for each state of an (n, 4, 4) stack of
-    Pauli coefficients, qubit measured_side measured, with each state's
-    diagnostics.  seeded=False skips the singular-vector seeds, so the
-    search starts from the grid alone."""
+    Pauli coefficients, qubit measured_side measured, and where each run
+    ended.  seeded=False skips the singular-vector seeds, so the search
+    starts from the grid alone.
+
+    The compass rounds redo only what changed.  The running states'
+    direction, value, step, frame and tangent basis live in their own
+    compacted arrays, which shrink only in a round where some run ends; a
+    state keeps its basis until it moves, and a run that ends writes its
+    value, direction, rounds and last step back to its own row.  No
+    OptimizerDiagnostics is built here: _diagnostics builds one for a
+    result that reports it."""
     m, b1 = _measurement_frame(r, measured_side)
     n = r.shape[0]
 
@@ -618,48 +666,39 @@ def _optimize(
         seeds *= np.where(seeds[:, :, 2:] < 0.0, -1.0, 1.0)
         _improve(seeds, m, b1, np.arange(n), value, direction)
 
-    step = np.full(n, 3.6 / math.sqrt(settings.grid_points))
-    final_window = np.empty(n)
-    rounds = np.zeros(n, dtype=int)
-    running = np.ones(n, dtype=bool)
+    rounds, final_window = np.empty(n, dtype=int), np.empty(n)
+    # the running states, compacted: row in the stack, frame (m, b1),
+    # direction, value, step and tangent basis
+    at, d, v = np.arange(n), direction.copy(), value.copy()
+    s = np.full(n, 3.6 / math.sqrt(settings.grid_points))
+    basis = _tangent_basis(d)
     for done in range(_MAX_ROUNDS):
-        rows = np.flatnonzero(running)
-        d, s = direction[rows], step[rows]
-        # a tangent basis at d, crossed with whichever of x and y is far from d
-        e1 = _cross(d, np.where(np.abs(d[:, :1]) < 0.6, _X_HAT, _Y_HAT))
-        e1 /= _norm(e1)
-        tangent = s[:, None, None] * np.stack([e1, _cross(d, e1)], axis=1)
-        candidates = d[:, None, :] + _COMPASS @ tangent
+        if not len(at):
+            break
+        candidates = d[:, None, :] + _COMPASS @ (s[:, None, None] * basis)
         candidates /= _norm(candidates)
         # the centre and its eight points all read zero, the conditional
         # entropy's floor, to rounding: a move among them follows noise (on a
         # pure state every direction reads zero), so the run ends with it;
         # the centre is read before the step moves it
-        floor = np.abs(value[rows]) <= _ZERO_BAND
-        values, moved = _improve(candidates, m[rows], b1[rows], rows, value, direction)
+        floor = np.abs(v) <= _ZERO_BAND
+        values, moved = _improve(candidates, m, b1, np.arange(len(at)), v, d)
         floor &= np.abs(values).max(axis=1) <= _ZERO_BAND
-        final_window[rows] = s
         # every running state has done the same number of rounds; a run still
         # going past _GROW_AFTER creeps along a flat valley, so its moves
         # double the step from then on
         grown = np.minimum(2.0 * s, _MAX_STEP) if done >= _GROW_AFTER else s
-        step[rows] = np.where(moved, grown, s / 4.0)
-        rounds[rows] += 1
-        running[rows] = (step[rows] > settings.final_tolerance) & ~(moved & floor)
-        if not running.any():
-            break
-    diagnostics = [
-        OptimizerDiagnostics(
-            best_direction=tuple(best_n),
-            grid_points=len(dirs),
-            refinement_iterations=count,
-            final_tolerance=settings.final_tolerance,
-            evaluations=len(dirs) + 3 * seeded + len(_COMPASS) * count,
-            final_window=last,
-        )
-        for best_n, count, last in zip(direction.tolist(), rounds.tolist(), final_window.tolist())
-    ]
-    return value, diagnostics
+        last, s = s, np.where(moved, grown, s / 4.0)
+        running = (s > settings.final_tolerance) & ~(moved & floor) & (done + 1 < _MAX_ROUNDS)
+        if not running.all():
+            ended, rows = ~running, at[~running]
+            value[rows], direction[rows] = v[ended], d[ended]
+            rounds[rows], final_window[rows] = done + 1, last[ended]
+            at, m, b1, d, v, s, basis, moved = (
+                x[running] for x in (at, m, b1, d, v, s, basis, moved))
+        if moved.any():
+            basis[moved] = _tangent_basis(d[moved])
+    return value, _Runs(direction, rounds, final_window)
 
 
 def optimal_conditional_entropy(
@@ -752,8 +791,8 @@ class _Stack:
         return {key: spectrum_entropy(w[:, ::-1]) for key, w in spectra.items()}
 
     @functools.cached_property
-    def optimum(self) -> tuple[np.ndarray, list[OptimizerDiagnostics]]:
-        """The optimizer's values and per-state diagnostics."""
+    def optimum(self) -> tuple[np.ndarray, _Runs]:
+        """The optimizer's values and where each state's run ended."""
         return _optimize(self.bloch, self.measured, self.settings, seeded=self.seeded)
 
 
@@ -791,7 +830,9 @@ def _single_oracle(
     grid alone (see _optimize)."""
     stack = _Stack(_validated_one(rho)[None], measured_side, settings, seeded)
     value = float(_finalize(_STACK_ORACLES[name](stack)[0]))
-    optimizer = stack.optimum[1][0] if name in _USES_OPTIMIZER else None
+    optimizer = None
+    if name in _USES_OPTIMIZER:
+        optimizer = _diagnostics(stack.optimum[1], 0, stack.settings, seeded)
     return MeasureResult(value=value, method="oracle", optimizer=optimizer)
 
 

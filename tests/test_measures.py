@@ -360,6 +360,14 @@ def test_expanded_discord_domain_errors():
     # logarithm, while the closed discord is 0.999999996533802
     with pytest.raises(ValueError, match="underflows"):
         quantum_discord_xz_expanded(make_params(1e-150), ChannelSpec(axis="z"), 1e-10)
+    # at theta = 1e-153, gamma t = 1.58e-5 it is subnormal, not 0, and its
+    # lost bits put the form 1.2e-6 off the closed discord; where it is
+    # normal again the form holds
+    with pytest.raises(ValueError, match="smallest normal"):
+        quantum_discord_xz_expanded(make_params(1e-153), ChannelSpec(axis="z"), 1.58e-5)
+    tiny = make_params(1e-153)
+    assert quantum_discord_xz_expanded(tiny, ChannelSpec(axis="z"), 0.5) == pytest.approx(
+        quantum_discord_closed(tiny, ChannelSpec(axis="z"), 0.5).value, rel=0.0, abs=1e-12)
     with pytest.raises(ValueError):
         quantum_discord_y_expanded(p, ChannelSpec(axis="x"), 0.5)
     with pytest.raises(ValueError):
@@ -588,6 +596,13 @@ def _wootters_score_sqrt_route(rho):
     return float(chi[0] - chi[1] - chi[2] - chi[3])
 
 
+def _diagnosed(r, side, settings, seeded=True):
+    """_optimize's values on a stack of Pauli coefficients and each state's
+    OptimizerDiagnostics, as a one-state result reports them."""
+    values, runs = _optimize(r, side, settings, seeded=seeded)
+    return values, [measures._diagnostics(runs, i, settings, seeded) for i in range(len(values))]
+
+
 def test_stacked_optimizer_matches_the_scalar_reference():
     # never above the coordinate descent it replaced, on either side
     states = _random_states(50, 1998) + _family_states()
@@ -698,8 +713,8 @@ def test_the_discord_oracle_reaches_the_closed_form_near_the_sudden_change(grid_
     values = oracle_values(states, ("quantum_discord",), settings)["quantum_discord"]
     np.testing.assert_allclose(values, closed, rtol=0.0, atol=1e-12)
     for side in "AB":
-        _, diagnostics = _optimize(pauli_coefficients(states), side, settings)
-        assert max(d.refinement_iterations for d in diagnostics) < measures._MAX_ROUNDS, side
+        _, runs = _optimize(pauli_coefficients(states), side, settings)
+        assert runs.rounds.max() < measures._MAX_ROUNDS, side
 
 
 def test_step_growth_changes_only_runs_past_40_rounds(monkeypatch):
@@ -708,11 +723,11 @@ def test_step_growth_changes_only_runs_past_40_rounds(monkeypatch):
     stack = pauli_coefficients(states)
     # from the grid alone: the singular-vector seeds start these runs at the
     # minimum, so none of them reaches round 40
-    grown = {side: _optimize(stack, side, OptimizerSettings(), seeded=False) for side in "AB"}
+    grown = {side: _diagnosed(stack, side, OptimizerSettings(), seeded=False) for side in "AB"}
     grow_after, cap = measures._GROW_AFTER, measures._MAX_ROUNDS
     monkeypatch.setattr(measures, "_GROW_AFTER", cap)
     for side in "AB":
-        plain_values, plain_diagnostics = _optimize(stack, side, OptimizerSettings(), seeded=False)
+        plain_values, plain_diagnostics = _diagnosed(stack, side, OptimizerSettings(), seeded=False)
         values, diagnostics = grown[side]
         rounds = [d.refinement_iterations for d in plain_diagnostics]
         # the corpus holds runs on both sides of round 40, and stalls without
@@ -818,7 +833,7 @@ def _rotated_near_degenerate(n, seed):
 
 def _discord_runs(states, side, settings=None, seeded=True):
     """The stacked oracle discord of each state, qubit side measured, and
-    its optimizer diagnostics."""
+    where its optimizer runs ended (measures._Runs)."""
     stack = measures._Stack(validate_density_matrix(states), side, settings, seeded)
     return measures._STACK_ORACLES["quantum_discord"](stack), stack.optimum[1]
 
@@ -834,8 +849,8 @@ def test_the_discord_oracle_is_exact_on_rotated_bell_diagonal_states(corpus):
     # vectors the worst was 1.1e-15 on either corpus and side
     states, closed = corpus()
     for side in "AB":
-        discord, diagnostics = _discord_runs(states, side)
-        assert max(d.refinement_iterations for d in diagnostics) < measures._MAX_ROUNDS, side
+        discord, runs = _discord_runs(states, side)
+        assert runs.rounds.max() < measures._MAX_ROUNDS, side
         np.testing.assert_allclose(discord, closed, rtol=0.0, atol=4e-15, err_msg=side)
         for i, rho in enumerate(states):
             assert quantum_discord(rho, side).value == max(0.0, discord[i]), (side, i)
@@ -853,9 +868,9 @@ def test_pure_states_stop_once_every_direction_reads_zero():
     stack = pauli_coefficients(np.array(_ranked_states(200, 3)[:200]))
     for side in "AB":
         for seeded in (True, False):
-            values, diagnostics = _optimize(stack, side, OptimizerSettings(), seeded=seeded)
+            values, runs = _optimize(stack, side, OptimizerSettings(), seeded=seeded)
             assert np.abs(values).max() <= measures._ZERO_BAND, (side, seeded)
-            assert max(d.refinement_iterations for d in diagnostics) <= 13, (side, seeded)
+            assert runs.rounds.max() <= 13, (side, seeded)
 
 
 def test_the_zero_stop_moves_no_value_and_only_runs_that_end_at_zero(monkeypatch):
@@ -867,11 +882,11 @@ def test_the_zero_stop_moves_no_value_and_only_runs_that_end_at_zero(monkeypatch
     ])
     stack = pauli_coefficients(states)
     runs = [(side, seeded) for side in "AB" for seeded in (True, False)]
-    stopped = [_optimize(stack, side, OptimizerSettings(), seeded=seeded) for side, seeded in runs]
+    stopped = [_diagnosed(stack, side, OptimizerSettings(), seeded=seeded) for side, seeded in runs]
     band = measures._ZERO_BAND
     monkeypatch.setattr(measures, "_ZERO_BAND", -1.0)
     for (side, seeded), (values, diagnostics) in zip(runs, stopped):
-        plain_values, plain_diagnostics = _optimize(stack, side, OptimizerSettings(), seeded=seeded)
+        plain_values, plain_diagnostics = _diagnosed(stack, side, OptimizerSettings(), seeded=seeded)
         np.testing.assert_array_equal(values, plain_values, err_msg=f"{side} {seeded}")
         for i, value in enumerate(values):
             if value > band:
@@ -911,9 +926,9 @@ def test_the_grid_alone_finds_the_best_minimum_in_the_standard_basis(grid_corpus
         np.testing.assert_allclose(values, minima, rtol=0.0, atol=1e-12, err_msg=side)
     states, closed = _near_sudden_change()
     for side in "AB":
-        discord, diagnostics = _discord_runs(states, side, settings, seeded=False)
+        discord, runs = _discord_runs(states, side, settings, seeded=False)
         np.testing.assert_allclose(discord, closed, rtol=0.0, atol=1e-12, err_msg=side)
-        assert max(d.refinement_iterations for d in diagnostics) < measures._MAX_ROUNDS, side
+        assert runs.rounds.max() < measures._MAX_ROUNDS, side
 
 
 def test_best_direction_follows_the_dominant_correlation_axis():
@@ -961,7 +976,7 @@ def test_each_state_gets_the_same_bits_alone_or_in_a_stack():
         for name in MEASURE_NAMES:
             assert stacked[name][i] == alone[name], (name, i)
     for side in "AB":
-        values, diagnostics = _optimize(pauli_coefficients(np.array(states)), side, OptimizerSettings())
+        values, diagnostics = _diagnosed(pauli_coefficients(np.array(states)), side, OptimizerSettings())
         for i, rho in enumerate(states):
             alone = optimal_conditional_entropy(rho, side)
             assert (alone.value, alone.optimizer) == (max(0.0, values[i]), diagnostics[i])
@@ -1052,7 +1067,7 @@ def test_optimizer_reports_its_work():
     # the grid, the three singular-vector seeds and eight points a round
     assert diag.evaluations == diag.grid_points + 3 + 8 * diag.refinement_iterations
     assert diag.final_tolerance < diag.final_window <= 4 * diag.final_tolerance
-    (plain,) = _optimize(pauli_coefficients(rho[None]), "A", settings, seeded=False)[1]
+    (plain,) = _diagnosed(pauli_coefficients(rho[None]), "A", settings, seeded=False)[1]
     assert plain.evaluations == plain.grid_points + 8 * plain.refinement_iterations
 
 

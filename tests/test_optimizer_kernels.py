@@ -6,8 +6,10 @@ inputs reach every branch: an outcome of probability 0 (a pure product state
 measured along its own axis), a pure unmeasured remainder (a Bell state, so
 radius 1 and a zero Bell weight) and the maximally mixed state, next to the
 evolved family and random full-rank states.  With both old kernels put back,
-_optimize returns the same values and diagnostics on the benchmark's seed-31
-oracle-sweep stack and on verify's 300-state stack."""
+_optimize returns the same values, best directions, rounds and last steps on
+the benchmark's seed-31 oracle-sweep stack and on verify's 300-state stack.
+The compass rounds on a compacted running set give every state of a mixed
+stack the run that the rounds as they stood, and the state alone, give it."""
 import importlib
 import math
 from pathlib import Path
@@ -21,7 +23,7 @@ from qcorr.dynamics import _verify_grid
 from qcorr.linalg import ZERO_EIGENVALUE_TOL, pauli_coefficients, spectrum_entropy
 from qcorr.measures import OptimizerSettings, _fibonacci_hemisphere, _measurement_frame, _optimize
 from qcorr.states import initial_state, make_params
-from test_measures import _family_states, _random_states
+from test_measures import _family_states, _near_sudden_change, _random_states, _ranked_states
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -166,10 +168,87 @@ def test_optimizer_is_unchanged_with_the_previous_kernels(stack, monkeypatch):
     r = pauli_coefficients(STACKS[stack](monkeypatch))
     assert len(r) == {"oracle-sweep-31": 108, "verify-300": 300}[stack]
     for side in "AB":
-        values, diagnostics = _optimize(r, side, OptimizerSettings())
+        values, runs = _optimize(r, side, OptimizerSettings())
         with monkeypatch.context() as patch:
             patch.setattr(measures, "_conditional_entropy", _reference_conditional_entropy)
             patch.setattr(measures, "_norm", _reference_norm)
-            want_values, want_diagnostics = _optimize(r, side, OptimizerSettings())
+            want_values, want_runs = _optimize(r, side, OptimizerSettings())
         assert values.tobytes() == want_values.tobytes(), side
-        assert repr(diagnostics) == repr(want_diagnostics), side
+        # each state's best direction, rounds and last step
+        assert [a.tobytes() for a in runs] == [a.tobytes() for a in want_runs], side
+
+
+# ---------------------------------------------------------------------------
+# the compass rounds as they stood, against the compacted running set
+# ---------------------------------------------------------------------------
+
+
+def _reference_rounds(r, side, settings, seeded, monkeypatch):
+    """The compass rounds before the running states were compacted: each
+    round gathers the running rows of full-size arrays and builds every
+    tangent basis anew.  They start where _optimize stands after the grid
+    and the seeds, which it returns when it may take no round."""
+    with monkeypatch.context() as patch:
+        patch.setattr(measures, "_MAX_ROUNDS", 0)
+        value, start = _optimize(r, side, settings, seeded=seeded)
+    direction = start.direction
+    m, b1 = _measurement_frame(r, side)
+    step = np.full(len(r), 3.6 / math.sqrt(settings.grid_points))
+    final_window, rounds = np.empty(len(r)), np.zeros(len(r), dtype=int)
+    running = np.ones(len(r), dtype=bool)
+    for done in range(measures._MAX_ROUNDS):
+        rows = np.flatnonzero(running)
+        d, s = direction[rows], step[rows]
+        candidates, _, _ = _compass(d, s)
+        floor = np.abs(value[rows]) <= measures._ZERO_BAND
+        values, moved = measures._improve(candidates, m[rows], b1[rows], rows, value, direction)
+        floor &= np.abs(values).max(axis=1) <= measures._ZERO_BAND
+        final_window[rows] = s
+        grown = np.minimum(2.0 * s, measures._MAX_STEP) if done >= measures._GROW_AFTER else s
+        step[rows] = np.where(moved, grown, s / 4.0)
+        rounds[rows] += 1
+        running[rows] = (step[rows] > settings.final_tolerance) & ~(moved & floor)
+        if not running.any():
+            break
+    return value, measures._Runs(direction, rounds, final_window)
+
+
+def _mixed_states():
+    """States whose runs end at scattered rounds, interleaved: pure states
+    (some stop at the zero floor), family states (a seeded run of these
+    never moves: 12 rounds), random full-rank states (20-30 rounds) and the
+    family near its sudden change (past _GROW_AFTER from the grid alone)."""
+    groups = [_ranked_states(4, 3)[:4], _family_states()[::9][:8], _random_states(4, 11),
+              list(_near_sudden_change()[0][::60])]
+    return np.array([g[i] for i in range(max(map(len, groups))) for g in groups if i < len(g)])
+
+
+@pytest.mark.parametrize("settings, seeded", [
+    (OptimizerSettings(), True),
+    (OptimizerSettings(), False),
+    # every run that does not stop at the zero floor ends at the round cap
+    (OptimizerSettings(final_tolerance=0.0), True),
+], ids=["seeded", "grid-alone", "tolerance-0"])
+def test_compacted_rounds_give_each_state_its_own_run(settings, seeded, monkeypatch):
+    states = _mixed_states()
+    r = pauli_coefficients(states)
+    for side in "AB":
+        values, runs = _optimize(r, side, settings, seeded=seeded)
+        want_values, want_runs = _reference_rounds(r, side, settings, seeded, monkeypatch)
+        assert values.tobytes() == want_values.tobytes(), side
+        assert [a.tobytes() for a in runs] == [a.tobytes() for a in want_runs], side
+        for i, rho in enumerate(states):
+            alone = measures._single_oracle("conditional_entropy", rho, side, settings,
+                                            seeded=seeded)
+            assert (alone.value, alone.optimizer) == (
+                max(0.0, values[i]), measures._diagnostics(runs, i, settings, seeded)), (side, i)
+        # the runs end at several rounds, through the exits this setting has
+        rounds = runs.rounds
+        floor = rounds[np.abs(values) <= measures._ZERO_BAND]
+        assert len(set(rounds.tolist())) >= 3 and floor.min() < 12, side
+        if settings.final_tolerance == 0.0:
+            assert rounds.max() == measures._MAX_ROUNDS, side
+        elif seeded:
+            assert 12 in rounds and rounds.max() < measures._GROW_AFTER, side
+        else:
+            assert rounds.max() > measures._GROW_AFTER, side
