@@ -5,9 +5,10 @@ one run at a time: first one warm-up run of each side, then N pairs, with
 the parent going first in even pairs and the change first in odd ones.
 Before the runs it compiles each side's ``src`` and ``perfbench`` to
 bytecode, and the runs themselves write none (PYTHONDONTWRITEBYTECODE=1).
+Each run has the benchmark's own run length.
 
     python3 tools/pairs.py PARENT CHANGE [--workload oracle_sweep] [--seed 31]
-                           [--pairs 10] [--seconds 15] [--json OUT]
+                           [--pairs 10] [--json OUT]
 
 ``--workload`` takes one workload, a comma-separated list or ``all``; each
 pair runs every listed workload on both sides.  For every end-to-end metric
@@ -31,12 +32,11 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One perfbench run in checkout; its last output line, as JSON."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     out = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds)],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)],
         cwd=checkout, env=env, capture_output=True, text=True)
     if out.returncode != 0:
         raise SystemExit(f"error: {checkout} {workload} exited {out.returncode}:\n{out.stderr}")
@@ -65,7 +65,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", default="oracle_sweep")
     parser.add_argument("--seed", type=int, default=31)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--json", type=Path)
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -82,18 +81,18 @@ def main(argv: list[str] | None = None) -> int:
     runs = {w: {side: [] for side in SIDES} for w in workloads}
     for workload in workloads:
         for side in SIDES:
-            run_once(checkouts[side], workload, args.seed, args.seconds)
+            run_once(checkouts[side], workload, args.seed)
     for i in range(args.pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for workload in workloads:
             for side in order:
                 runs[workload][side].append(
-                    run_once(checkouts[side], workload, args.seed, args.seconds))
+                    run_once(checkouts[side], workload, args.seed))
             values = {side: runs[workload][side][-1]["metrics"]["wall_s"]["value"] for side in SIDES}
             print(f"pair {i + 1}/{args.pairs} {workload} ({order[0]} first): wall_s parent"
                   f" {values['parent']:.6g} change {values['change']:.6g}", flush=True)
 
-    report = {"seed": args.seed, "pairs": args.pairs, "seconds": args.seconds, "workloads": {}}
+    report = {"seed": args.seed, "pairs": args.pairs, "workloads": {}}
     for workload in workloads:
         sides = runs[workload]
         rows = {name: summary(*[[r["metrics"][name]["value"] for r in sides[side]] for side in SIDES],
