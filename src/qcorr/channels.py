@@ -14,6 +14,7 @@ RK4 routes share nothing with it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -208,12 +209,13 @@ def integrate_rk4(rho0: np.ndarray, channel: ChannelSpec, t: float, steps: int) 
     2 log2(steps) 16x16 products), and P^steps is applied to rho once.
     The output is re-Hermitized by (M + M†)/2 at the end.  With 1000 steps over gamma t <= 3 the result
     matches the exact Kraus map within 1e-8 entrywise (in practice far
-    better).  A negative, infinite or NaN t raises ValueError, and so do
-    fewer steps than gamma t: the decaying modes' one-step factor leaves
-    [-1, 1] once 2 gamma h passes about 2.785, and the result then diverges.
+    better).  A negative, infinite or NaN t raises ValueError, and so does
+    a step count that is not an integer >= 1 (NumPy's integers count) or is
+    below gamma t: the decaying modes' one-step factor leaves [-1, 1] once
+    2 gamma h passes about 2.785, and the result then diverges.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    if not (isinstance(steps, numbers.Integral) and steps >= 1):
+        raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
     if not 0.0 <= t < math.inf:
         raise ValueError(f"t must be finite and non-negative, got {t}")
     if not steps >= channel.gamma * t:

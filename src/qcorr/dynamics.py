@@ -471,7 +471,7 @@ def verify_suite(quick: bool = False, optimizer: OptimizerSettings | None = None
         *_x_and_z_agree(table),
         *_integrator_and_channel(),
         *_trends(),
-        *_optimizer_robust(thetas, times, optimizer),
+        *_optimizer_robust(table, optimizer),
         *_faulty_variants(),
     )
     return VerifyReport(checks=checks, runtime_seconds=_time.perf_counter() - t0)
@@ -608,17 +608,17 @@ def _trends() -> Iterator[VerifyCheck]:
     )
 
 
-def _optimizer_robust(
-    thetas: list[float], times: list[float], optimizer: OptimizerSettings | None
-) -> Iterator[VerifyCheck]:
+def _optimizer_robust(table: SweepTable, optimizer: OptimizerSettings | None
+                      ) -> Iterator[VerifyCheck]:
     """The oracle discord with the given settings must match a run from the
     grid alone, without the singular-vector seeds, on twice the grid (half
     where the double would pass MAX_GRID_POINTS), and it must match the
     closed discord at and just around the sudden change t_sc = ln(1/q)/(2
-    gamma) (gamma = 1), where the conditional entropy's valley is flat.  Both
-    seeded discord checks read one optimizer stack: the 16 states near t_sc
-    with the grid-doubling state last."""
-    rho_ref = kraus_apply(initial_state(thetas[len(thetas) // 2]), _CHANNELS["x"], times[2])
+    gamma) (gamma = 1), where the conditional entropy's valley is flat.  The
+    grid-doubling state is the sweep's x-noise state at its middle angle and
+    third time, and its seeded discord is the sweep's oracle value there;
+    the 16 states near t_sc take one seeded optimizer stack."""
+    at = (table.axes.index("x"), len(table.thetas) // 2, 2)
     given = optimizer or OptimizerSettings()
     n = given.grid_points
     other = replace(given, grid_points=2 * n if 2 * n <= MAX_GRID_POINTS else n // 2)
@@ -630,13 +630,11 @@ def _optimizer_robust(
         for axis in ("x", "z"):
             states.append(kraus_apply(initial_state(params), _CHANNELS[axis], near))
             closed.append(closed_values(params, _CHANNELS[axis], near, ("quantum_discord",)))
-    oracle = oracle_values(np.concatenate([*states, rho_ref[None]]), ("quantum_discord",),
-                           given)["quantum_discord"]
-    err = abs(float(oracle[-1])
-              - _single_oracle("quantum_discord", rho_ref, "A", other, seeded=False).value)
+    oracle = oracle_values(np.concatenate(states), ("quantum_discord",), given)["quantum_discord"]
+    err = abs(float(table.oracle[(table.measures.index("quantum_discord"), *at)])
+              - _single_oracle("quantum_discord", table.states[at], "A", other, seeded=False).value)
     yield _check("optimizer_grid_doubling_stable", err, 1e-6)
-    err_sc = float(np.abs(oracle[:-1]
-                          - np.concatenate([c["quantum_discord"] for c in closed])).max())
+    err_sc = float(np.abs(oracle - np.concatenate([c["quantum_discord"] for c in closed])).max())
     yield _check("discord_oracle_near_sudden_change", err_sc, 1e-12)
 
 

@@ -337,10 +337,7 @@ def quantum_discord_y_expanded(params: StateParams, channel: ChannelSpec, t: flo
     lam = decay_factor(channel, t) * params.q
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"the log-ratio form requires lam in [0, 1), got {lam}")
-    ln16 = math.log(16.0)
-    if lam == 0.0:
-        return 0.0
-    return 2.0 / ln16 * (
+    return 2.0 / math.log(16.0) * (
         lam * math.log((1.0 + lam) / (1.0 - lam)) + math.log((1.0 + lam) * (1.0 - lam))
     )
 
@@ -593,19 +590,20 @@ def _tangent_basis(d: np.ndarray) -> np.ndarray:
     return np.stack([e1, _cross(d, e1)], axis=1)
 
 
-def _improve(candidates: np.ndarray, m: np.ndarray, b1: np.ndarray, rows: np.ndarray,
+def _improve(candidates: np.ndarray, m: np.ndarray, b1: np.ndarray,
              value: np.ndarray, direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The one candidate step of the sphere search: evaluate the candidate
-    directions, one (k, 3) set for every row or a (rows, k, 3) stack, with
-    the measurement frame (m, b1) of the states rows, and move each state
-    to its first least candidate where that is strictly lower than its
-    value.  Returns the candidates' values and which rows moved."""
+    directions, one (k, 3) set for every state or an (n, k, 3) stack, with
+    the states' measurement frame (m, b1), and move each state to its first
+    least candidate where that is strictly lower than its value.  value and
+    direction are written in place.  Returns the candidates' values and
+    which states moved."""
     values = _conditional_entropy(candidates @ m, b1[:, None, :])
-    each, k = np.arange(len(rows)), values.argmin(axis=1)
+    each, k = np.arange(len(value)), values.argmin(axis=1)
     best = values[each, k]
-    moved = best < value[rows]
-    value[rows[moved]] = best[moved]
-    direction[rows[moved]] = (candidates[k] if candidates.ndim == 2 else candidates[each, k])[moved]
+    moved = best < value
+    value[moved] = best[moved]
+    direction[moved] = (candidates[k] if candidates.ndim == 2 else candidates[each, k])[moved]
     return values, moved
 
 
@@ -659,12 +657,12 @@ def _optimize(
     per_block = max(1, _GRID_BLOCK // len(dirs))
     for lo in range(0, n, per_block):
         block = slice(lo, lo + per_block)
-        _improve(dirs, m[block], b1[block], np.arange(n)[block], value, direction)
+        _improve(dirs, m[block], b1[block], value[block], direction[block])
     if seeded:
         # the left singular vectors of T, turned to z >= 0, as rows
         seeds = np.swapaxes(np.linalg.svd(m[:, :, 1:])[0], 1, 2)
         seeds *= np.where(seeds[:, :, 2:] < 0.0, -1.0, 1.0)
-        _improve(seeds, m, b1, np.arange(n), value, direction)
+        _improve(seeds, m, b1, value, direction)
 
     rounds, final_window = np.empty(n, dtype=int), np.empty(n)
     # the running states, compacted: row in the stack, frame (m, b1),
@@ -682,7 +680,7 @@ def _optimize(
         # pure state every direction reads zero), so the run ends with it;
         # the centre is read before the step moves it
         floor = np.abs(v) <= _ZERO_BAND
-        values, moved = _improve(candidates, m, b1, np.arange(len(at)), v, d)
+        values, moved = _improve(candidates, m, b1, v, d)
         floor &= np.abs(values).max(axis=1) <= _ZERO_BAND
         # every running state has done the same number of rounds; a run still
         # going past _GROW_AFTER creeps along a flat valley, so its moves

@@ -171,8 +171,11 @@ def state_from_json(data: dict) -> np.ndarray:
     if "re" not in data or "im" not in data:
         raise ValueError("payload needs both 're' and 'im' entries")
     try:
-        re = np.asarray(data["re"], dtype=float)
-        im = np.asarray(data["im"], dtype=float)
+        re, im = (np.asarray(data[key], dtype=object) for key in ("re", "im"))
+        # a float conversion alone would read true as 1, "0.25" as 0.25 and null as NaN
+        if any(isinstance(x, (bool, str, type(None))) for x in (*re.flat, *im.flat)):
+            raise TypeError("a boolean, a string or null is not a number")
+        re, im = re.astype(float), im.astype(float)
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"re and im must hold numbers: {exc}") from None
     if re.size != 16 or im.size != 16:

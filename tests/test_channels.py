@@ -350,9 +350,17 @@ def test_rk4_argument_validation():
     for t in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             integrate_rk4(rho, ch, t, steps=10)
+    # a step count that is not an integer, at t = 0 too, where no step is taken
+    for steps in (2.5, 10.0, math.inf, "10", None):
+        for t in (0.0, 1.0):
+            with pytest.raises(ValueError, match="integer"):
+                integrate_rk4(rho, ch, t, steps=steps)
     out = integrate_rk4(rho, ch, 0.0, steps=5)
     np.testing.assert_array_equal(out, rho)
     assert out is not rho
+    # NumPy's integers are integers
+    np.testing.assert_array_equal(integrate_rk4(rho, ch, 1.0, steps=np.int64(40)),
+                                  integrate_rk4(rho, ch, 1.0, steps=40))
 
 
 def test_rk4_rejects_fewer_steps_than_gamma_t():

@@ -739,14 +739,16 @@ def test_verify_grid_doubling_runs_the_given_settings(monkeypatch):
     # takes half
     robust, reached, seen = dynamics._optimizer_robust, [], []
 
-    def robust_spy(thetas, times, optimizer):
+    def robust_spy(table, optimizer):
         reached.append(optimizer)
-        return robust(thetas, times, optimizer)
+        return robust(table, optimizer)
 
     monkeypatch.setattr(dynamics, "_optimizer_robust", robust_spy)
     given = OptimizerSettings(grid_points=32, final_tolerance=1e-8)
     assert verify_suite(quick=True, optimizer=given).passed
     assert reached == [given]
+    table = sweep(SweepGrid(*map(tuple, _verify_grid(quick=True))), include_oracle=True,
+                  optimizer=given)
 
     def stack_spy(rho, names, settings=None):
         seen.append((settings, True))
@@ -758,7 +760,7 @@ def test_verify_grid_doubling_runs_the_given_settings(monkeypatch):
 
     monkeypatch.setattr(dynamics, "oracle_values", stack_spy)
     monkeypatch.setattr(dynamics, "_single_oracle", seedless_spy)
-    checks = list(robust(*_verify_grid(quick=True), given))
+    checks = list(robust(table, given))
     assert [c.status for c in checks] == ["pass", "pass"]
     assert seen == [(given, True), (OptimizerSettings(grid_points=64, final_tolerance=1e-8), False)]
 
@@ -774,15 +776,38 @@ def test_verify_grid_doubling_runs_the_given_settings(monkeypatch):
     monkeypatch.setattr(dynamics, "oracle_values", stack_record)
     monkeypatch.setattr(dynamics, "_single_oracle", lone_record)
     largest = measures.MAX_GRID_POINTS
-    next(robust(*_verify_grid(quick=True), OptimizerSettings(grid_points=largest)))
+    next(robust(table, OptimizerSettings(grid_points=largest)))
     assert seen == [largest, largest // 2]
+
+
+@pytest.mark.parametrize("quick", [True, False])
+@pytest.mark.parametrize("given", [
+    None, OptimizerSettings(grid_points=32, final_tolerance=1e-8),
+    OptimizerSettings(grid_points=128, final_tolerance=1e-4),
+])
+def test_verify_grid_doubling_reads_the_sweep_state(quick, given):
+    # reference: the grid-doubling state evolved on its own (x noise, middle
+    # angle, third time) and its seeded discord from a lone run, as the check
+    # computed them before it read the sweep's state and oracle value
+    thetas, times = _verify_grid(quick)
+    rho_ref = kraus_apply(initial_state(thetas[len(thetas) // 2]), ChannelSpec("x"), times[2])
+    settings = given or OptimizerSettings()
+    seeded = quantum_discord(rho_ref, settings=settings).value
+    alone = measures._single_oracle("quantum_discord", rho_ref, "A",
+                                    OptimizerSettings(2 * settings.grid_points,
+                                                      settings.final_tolerance),
+                                    seeded=False).value
+    (check,) = [c for c in verify_suite(quick, given).checks
+                if c.check_id == "optimizer_grid_doubling_stable"]
+    assert check.max_error == abs(seeded - alone)
 
 
 def test_verify_groups_read_whole_stacks(monkeypatch):
     # the expanded-form check makes no scalar closed-form call and one
-    # family_triple call per channel drawn; both seeded discord checks share
-    # one optimizer run over the 16 near-t_sc states and rho_ref, beside the
-    # grid-alone run on rho_ref
+    # family_triple call per channel drawn; the near-t_sc check takes one
+    # seeded optimizer run over its 16 states, and the grid-doubling check
+    # one grid-alone run on the sweep's state, which it evolves no second
+    # time: its only evolutions are the four near-t_sc ones
     group, calls = [None], []
 
     def tag(name):
@@ -815,6 +840,8 @@ def test_verify_groups_read_whole_stacks(monkeypatch):
             lambda params, channel=None, t=0.0: f"family_triple {channel.axis}")
     spy(measures, "_optimize",
         lambda r, side, settings, seeded=True: f"_optimize {len(r)} seeded={seeded}")
+    spy(dynamics, "kraus_apply", lambda rho, channel, t: f"kraus_apply {channel.axis} {len(t)}")
+    spy(dynamics, "initial_state", lambda params: f"initial_state {params.theta}")
     for quick in (False, True):
         calls.clear()
         assert verify_suite(quick=quick).passed
@@ -822,7 +849,11 @@ def test_verify_groups_read_whole_stacks(monkeypatch):
         assert expanded == ["family_triple x", "family_triple y", "family_triple z"]
         runs = [call for name, call in calls
                 if name == "_optimizer_robust" and call.startswith("_optimize")]
-        assert runs == ["_optimize 17 seeded=True", "_optimize 1 seeded=False"]
+        assert runs == ["_optimize 16 seeded=True", "_optimize 1 seeded=False"]
+        evolutions = [call for name, call in calls if name == "_optimizer_robust"
+                      and call.startswith(("initial_state", "kraus_apply"))]
+        assert evolutions == [call for theta in (0.9, 2.0) for axis in "xz"
+                              for call in (f"initial_state {theta}", f"kraus_apply {axis} 4")]
 
 
 @pytest.mark.parametrize(

@@ -372,6 +372,11 @@ def test_expanded_discord_domain_errors():
         quantum_discord_y_expanded(p, ChannelSpec(axis="x"), 0.5)
     with pytest.raises(ValueError):
         quantum_discord_y_expanded(make_params(0.0), ChannelSpec(axis="y"), 0.0)  # lam = 1
+    # lam = 0, at q = 0 (theta = pi/2) or mu = 0 (t = inf), is in the domain,
+    # where 0 ln 1 + ln 1 reads exactly zero
+    for theta, t in ((math.pi / 2, 0.0), (math.pi / 2, 0.5), (1.0, math.inf)):
+        value = quantum_discord_y_expanded(make_params(theta), ChannelSpec(axis="y"), t)
+        assert repr(value) == "0.0"
 
 
 def test_measures_respect_bounds_on_random_states():

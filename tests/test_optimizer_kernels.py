@@ -198,10 +198,11 @@ def _reference_rounds(r, side, settings, seeded, monkeypatch):
     running = np.ones(len(r), dtype=bool)
     for done in range(measures._MAX_ROUNDS):
         rows = np.flatnonzero(running)
-        d, s = direction[rows], step[rows]
+        d, v, s = direction[rows], value[rows], step[rows]
         candidates, _, _ = _compass(d, s)
-        floor = np.abs(value[rows]) <= measures._ZERO_BAND
-        values, moved = measures._improve(candidates, m[rows], b1[rows], rows, value, direction)
+        floor = np.abs(v) <= measures._ZERO_BAND
+        values, moved = measures._improve(candidates, m[rows], b1[rows], v, d)
+        value[rows], direction[rows] = v, d
         floor &= np.abs(values).max(axis=1) <= measures._ZERO_BAND
         final_window[rows] = s
         grown = np.minimum(2.0 * s, measures._MAX_STEP) if done >= measures._GROW_AFTER else s

@@ -137,6 +137,11 @@ def test_json_round_trip_is_exact():
     rho = initial_state(make_params(2.0))
     again = state_from_json(state_to_json(rho))
     np.testing.assert_array_equal(again, rho)
+    # integer entries, flat or nested 4x4, are numbers too
+    pure = np.zeros((4, 4))
+    pure[0, 0] = 1.0
+    for re, im in (([1] + [0] * 15, [0] * 16), (pure.astype(int).tolist(), [[0.0] * 4] * 4)):
+        np.testing.assert_array_equal(state_from_json({"dim": 4, "re": re, "im": im}), pure)
 
 
 def test_json_rejects_invalid_payload():
@@ -154,6 +159,11 @@ def test_json_rejects_invalid_payload():
     {"dim": 4, "re": [{}] * 16, "im": [0.0] * 16},
     # a JSON integer too large for a float
     {"dim": 4, "re": [10**400] + [0.0] * 15, "im": [0.0] * 16},
+    # booleans and strings, which a float conversion reads as |00><00| and 0.25
+    {"dim": 4, "re": [True] + [0] * 15, "im": [0] * 16},
+    {"dim": 4, "re": [0.25, 0, 0, 0, 0, "0.25"] + [0] * 10, "im": [0.0] * 16},
+    {"dim": 4, "re": [[0.25, 0, 0, 0]] * 4, "im": [[False] * 4] * 4},
+    {"dim": 4, "re": [None] * 16, "im": [0.0] * 16},
 ])
 def test_json_malformed_payload_raises_value_error(payload):
     with pytest.raises(ValueError, match="JSON object|'re' and 'im'|must hold numbers"):
