@@ -35,11 +35,14 @@ __all__ = [
     "analytic_evolve",
     "uncorrected_y_matrix",
     "integrate_rk4",
+    "MAX_RK4_STEPS",
 ]
 
 AXES = tuple(PAULIS)
 # rates this far inside the float range keep 2 gamma, 1/gamma and 51/gamma finite
 _GAMMA_MIN, _GAMMA_MAX = 1e-300, 1e300
+# most steps integrate_rk4 takes; past it rounding, not the step, sets the error
+MAX_RK4_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -207,15 +210,24 @@ def integrate_rk4(rho0: np.ndarray, channel: ChannelSpec, t: float, steps: int) 
     propagator P = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24; it is built
     once and raised to the power steps by repeated squaring (at most
     2 log2(steps) 16x16 products), and P^steps is applied to rho once.
-    The output is re-Hermitized by (M + M†)/2 at the end.  With 1000 steps over gamma t <= 3 the result
-    matches the exact Kraus map within 1e-8 entrywise (in practice far
-    better).  A negative, infinite or NaN t raises ValueError, and so does
-    a step count that is not an integer >= 1 (NumPy's integers count) or is
-    below gamma t: the decaying modes' one-step factor leaves [-1, 1] once
-    2 gamma h passes about 2.785, and the result then diverges.
+    The output is re-Hermitized by (M + M†)/2 at the end.  With 1000 steps
+    over gamma t <= 3 the result matches the exact Kraus map within 1e-8
+    entrywise (in practice far better).
+
+    A negative, infinite or NaN t raises ValueError, and so does a step
+    count that is not an integer (NumPy's integers are, a bool is not), is
+    below gamma t, or lies outside [1, MAX_RK4_STEPS].  Below gamma t the
+    decaying modes' one-step factor leaves [-1, 1] once 2 gamma h passes
+    about 2.785, and the result diverges.  Above the cap rounding takes
+    over: P's entries near 1 carry a relative error of about 1e-16 each,
+    which the power multiplies by the step count.  With theta = 0.7, z
+    noise and t = 1 the result is 1.9e-12 off the exact map at 10**6 steps
+    (2e-11 with x noise), 1.1e-2 at 10**16, and at 10**18 hA vanishes
+    beside I, so rho0 comes back unchanged.
     """
-    if not (isinstance(steps, numbers.Integral) and steps >= 1):
-        raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
+    if isinstance(steps, bool) or not (
+            isinstance(steps, numbers.Integral) and 1 <= steps <= MAX_RK4_STEPS):
+        raise ValueError(f"steps must be an integer in [1, {MAX_RK4_STEPS}], got {steps!r}")
     if not 0.0 <= t < math.inf:
         raise ValueError(f"t must be finite and non-negative, got {t}")
     if not steps >= channel.gamma * t:

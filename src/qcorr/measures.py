@@ -153,13 +153,15 @@ class OptimizerSettings:
 
     def __post_init__(self) -> None:
         # numbers.Integral and numbers.Real hold NumPy's integers and floats
-        # too, and keep out non-integral sizes, strings and None
-        points, tolerance = self.grid_points, self.final_tolerance
+        # too, and keep out non-integral sizes, strings and None; they hold
+        # Python's booleans as well, which the size range already refuses and
+        # the tolerance check must (True would be a 1-rad stop)
+        points, tol = self.grid_points, self.final_tolerance
         if not (isinstance(points, numbers.Integral) and 32 <= points <= MAX_GRID_POINTS):
             raise ValueError(
                 f"grid_points must be an integer in [32, {MAX_GRID_POINTS}], got {points!r}")
-        if not (isinstance(tolerance, numbers.Real) and tolerance >= 0.0):
-            raise ValueError(f"final_tolerance must be a number >= 0, got {tolerance!r}")
+        if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and tol >= 0.0):
+            raise ValueError(f"final_tolerance must be a number >= 0, got {tol!r}")
 
 
 @dataclass(frozen=True)

@@ -176,7 +176,7 @@ def state_from_json(data: dict) -> np.ndarray:
         if any(isinstance(x, (bool, str, type(None))) for x in (*re.flat, *im.flat)):
             raise TypeError("a boolean, a string or null is not a number")
         re, im = re.astype(float), im.astype(float)
-    except (TypeError, OverflowError) as exc:
+    except (TypeError, OverflowError, ValueError) as exc:  # ValueError: a ragged list
         raise ValueError(f"re and im must hold numbers: {exc}") from None
     if re.size != 16 or im.size != 16:
         raise ValueError("re and im must each hold 16 entries")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qcorr.channels import (
+    MAX_RK4_STEPS,
     ChannelSpec,
     analytic_evolve,
     apply_pauli_channel,
@@ -350,8 +351,10 @@ def test_rk4_argument_validation():
     for t in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             integrate_rk4(rho, ch, t, steps=10)
-    # a step count that is not an integer, at t = 0 too, where no step is taken
-    for steps in (2.5, 10.0, math.inf, "10", None):
+    # a step count that is not an integer, a bool among them, or lies past
+    # the cap, at t = 0 too, where no step is taken (10**18 steps once
+    # returned rho unchanged, and 10**400 raised OverflowError)
+    for steps in (2.5, 10.0, math.inf, "10", None, True, MAX_RK4_STEPS + 1, 10**18, 10**400):
         for t in (0.0, 1.0):
             with pytest.raises(ValueError, match="integer"):
                 integrate_rk4(rho, ch, t, steps=steps)
@@ -361,6 +364,10 @@ def test_rk4_argument_validation():
     # NumPy's integers are integers
     np.testing.assert_array_equal(integrate_rk4(rho, ch, 1.0, steps=np.int64(40)),
                                   integrate_rk4(rho, ch, 1.0, steps=40))
+    # at the cap rounding stays far below the --check tolerance of 1e-8
+    rho, ch = initial_state(0.7), ChannelSpec(axis="z")
+    at_cap = integrate_rk4(rho, ch, 1.0, MAX_RK4_STEPS)
+    assert np.abs(at_cap - kraus_apply(rho, ch, 1.0)).max() <= 1e-11
 
 
 def test_rk4_rejects_fewer_steps_than_gamma_t():

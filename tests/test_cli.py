@@ -12,8 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcorr import cli
-from qcorr.channels import ChannelSpec, analytic_evolve, integrate_rk4, kraus_apply
+from qcorr import channels, cli
+from qcorr.channels import (
+    ChannelSpec,
+    analytic_evolve,
+    apply_pauli_channel,
+    integrate_rk4,
+    kraus_apply,
+)
 from qcorr.cli import (
     DEFAULT_RK4_STEPS,
     MAX_RK4_STEPS,
@@ -25,7 +31,7 @@ from qcorr.cli import (
 )
 from qcorr.dynamics import SweepGrid, sweep
 from qcorr.measures import MEASURE_NAMES, OptimizerSettings
-from qcorr.states import initial_state, make_params, state_to_json
+from qcorr.states import initial_state, make_params, state_from_json, state_to_json
 
 
 def run(capsys, *argv):
@@ -579,30 +585,57 @@ def test_unwritable_out_exits_2_before_computing(tmp_path, capsys, monkeypatch, 
     assert path in message and "Traceback" not in message
 
 
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
 def test_rk4_step_count_is_bounded_before_anything_runs(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "integrate_rk4", lambda *args, **kwargs: pytest.fail("integrated"))
-    with pytest.raises(SystemExit) as err:
-        main(["evolve", "--theta", "pi/4", "--axis", "z", "--time", "1", "--method", "rk4",
-              "--steps", str(MAX_RK4_STEPS + 1)])
-    assert err.value.code == 2
-    assert f"at most {MAX_RK4_STEPS}" in capsys.readouterr().err
+    # the cap is integrate_rk4's: it refuses the count before it builds the
+    # propagator from lindblad_rhs
+    assert MAX_RK4_STEPS is channels.MAX_RK4_STEPS
+    monkeypatch.setattr(channels, "lindblad_rhs", lambda *args: pytest.fail("integrated"))
+    code = main(["evolve", "--theta", "pi/4", "--axis", "z", "--time", "1", "--method", "rk4",
+                 "--steps", str(MAX_RK4_STEPS + 1)])
+    assert code == 3
+    assert f"steps must be an integer in [1, {MAX_RK4_STEPS}]" in _one_error_line(capsys)
 
 
-@pytest.mark.parametrize("time, gamma, steps", [
-    ("557", "1", None),  # 2 gamma h = 2.785, where the RK4 factor reaches 1
-    ("1e300", "1", None),
-    ("nan", "1", None),
-    ("2", "3", "5"),
+@pytest.mark.parametrize("time, gamma, steps, message", [
+    # 2 gamma h = 2.785, where the RK4 factor reaches 1
+    ("557", "1", None, "steps must be >= gamma*t = 557, got 400"),
+    ("1e300", "1", None, "steps must be >= gamma*t = 1e+300, got 400"),
+    ("nan", "1", None, "t must be finite and non-negative, got nan"),
+    ("2", "3", "5", "steps must be >= gamma*t = 6, got 5"),
 ])
 def test_rk4_steps_cover_every_decay_time_before_anything_runs(capsys, monkeypatch, time,
-                                                                gamma, steps):
-    monkeypatch.setattr(cli, "integrate_rk4", lambda *args, **kwargs: pytest.fail("integrated"))
+                                                                gamma, steps, message):
+    # integrate_rk4 owns the rule, so the run exits 3 with its message
+    monkeypatch.setattr(channels, "lindblad_rhs", lambda *args: pytest.fail("integrated"))
     argv = ["evolve", "--theta", "pi/4", "--axis", "x", "--time", time, "--gamma", gamma,
             "--method", "rk4"]
-    with pytest.raises(SystemExit) as err:
-        main(argv + ([] if steps is None else ["--steps", steps]))
-    assert err.value.code == 2
-    assert "--steps >= gamma*t" in capsys.readouterr().err
+    assert main(argv + ([] if steps is None else ["--steps", steps])) == 3
+    assert message in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("method, time", [
+    ("kraus", "nan"), ("analytic", "nan"), ("rk4", "nan"), ("rk4", "inf"),
+])
+def test_evolve_rejects_a_time_its_route_cannot_take(capsys, method, time):
+    code = main(["evolve", "--theta", "pi/4", "--axis", "z", "--time", time, "--method", method])
+    assert code == 3
+    err = _one_error_line(capsys)
+    assert "t must be" in err and f"got {time}" in err
+
+
+@pytest.mark.parametrize("method", ["kraus", "analytic"])
+def test_evolve_infinite_time_is_the_mu_0_limit_on_the_exact_routes(capsys, method):
+    code, out = run(capsys, "evolve", "--theta", "pi/4", "--axis", "z", "--time", "inf",
+                    "--method", method, "--json", "--measures", "concurrence")
+    assert code == 0
+    limit = apply_pauli_channel(initial_state(make_params(math.pi / 4)), "z", 0.0)
+    np.testing.assert_allclose(state_from_json(json.loads(out)["state"]), limit, atol=1e-15)
 
 
 @pytest.mark.parametrize("method", ["kraus", "analytic", "rk4"])

@@ -1049,9 +1049,15 @@ def test_optimizer_settings_accept_the_limits():
     {"grid_points": None},
     {"final_tolerance": None},
     {"final_tolerance": "1e-7"},
+    {"grid_points": True},
+    {"grid_points": False},
+    {"final_tolerance": True},
+    {"final_tolerance": False},
 ])
 def test_optimizer_settings_reject_values_of_the_wrong_type(kwargs):
-    # 64.5 once ran np.arange(64.5), and "64" or None raised TypeError
+    # 64.5 once ran np.arange(64.5), and "64" or None raised TypeError; a
+    # boolean tolerance once ran as a 1-rad stop (True) or to the round cap
+    # (False)
     with pytest.raises(ValueError, match="must be"):
         OptimizerSettings(**kwargs)
 

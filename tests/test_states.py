@@ -164,6 +164,9 @@ def test_json_rejects_invalid_payload():
     {"dim": 4, "re": [0.25, 0, 0, 0, 0, "0.25"] + [0] * 10, "im": [0.0] * 16},
     {"dim": 4, "re": [[0.25, 0, 0, 0]] * 4, "im": [[False] * 4] * 4},
     {"dim": 4, "re": [None] * 16, "im": [0.0] * 16},
+    # ragged lists, which NumPy refuses with a message that names no field
+    {"dim": 4, "re": [[0.25] * 4] * 3 + [[0.25] * 3], "im": [[0.0] * 4] * 4},
+    {"dim": 4, "re": [[0.25] * 4] * 4, "im": [[0.0] * 4] * 3 + [[0.0] * 5]},
 ])
 def test_json_malformed_payload_raises_value_error(payload):
     with pytest.raises(ValueError, match="JSON object|'re' and 'im'|must hold numbers"):
