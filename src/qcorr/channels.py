@@ -206,7 +206,8 @@ def integrate_rk4(rho0: np.ndarray, channel: ChannelSpec, t: float, steps: int) 
     """Classical fixed-step fourth-order Runge-Kutta on lindblad_rhs.
 
     lindblad_rhs is linear, rho' = A rho with A the 16x16 matrix of its
-    action on the basis matrices, so one RK4 step of size h is the fixed
+    action on the basis matrices, taken from one lindblad_rhs call on the
+    stack of all 16, so one RK4 step of size h is the fixed
     propagator P = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24; it is built
     once and raised to the power steps by repeated squaring (at most
     2 log2(steps) 16x16 products), and P^steps is applied to rho once.
@@ -235,9 +236,8 @@ def integrate_rk4(rho0: np.ndarray, channel: ChannelSpec, t: float, steps: int) 
     rho = np.asarray(rho0, dtype=complex).copy()
     if t == 0:
         return rho
-    hA = (t / steps) * np.stack(
-        [lindblad_rhs(basis, channel).ravel() for basis in np.eye(16).reshape(16, 4, 4)], axis=1
-    )
+    # column k of A is lindblad_rhs of basis matrix k
+    hA = (t / steps) * lindblad_rhs(np.eye(16).reshape(16, 4, 4), channel).reshape(16, 16).T
     term = P = np.eye(16, dtype=complex)
     for k in range(1, 5):
         term = term @ hA / k

@@ -38,6 +38,7 @@ from .measures import (
     OptimizerSettings,
     _check_names,
     _single_oracle,
+    _stack_values,
     _triple_values,
     _wootters_scores,
     _xz_expanded,
@@ -49,6 +50,7 @@ from .measures import (
 )
 from .states import (
     StateParams,
+    _initial_states,
     initial_state,
     make_params,
     x_structure_defect,
@@ -158,10 +160,12 @@ def sweep(
 ) -> SweepTable:
     """Evaluate closed-form measures (and optionally the oracles) over the
     grid.  The closed forms take one closed_values call per channel over
-    the whole (theta, time) grid.  With oracles, one kraus_apply call per
-    channel evolves the stacked starts to every time, and one oracle_values
-    call reads every measure from the whole stack, the two entropic
-    measures from one optimizer run."""
+    the whole (theta, time) grid.  With oracles, the starts are built and
+    validated once as one stack, one kraus_apply call per channel evolves
+    them to every time, and the oracle kernels read every measure from the
+    whole evolved stack, the two entropic measures from one optimizer run.
+    The evolved stack is not validated again: its starts were, and the
+    Kraus map keeps a state a state."""
     channels = [ChannelSpec(axis=axis, gamma=gamma, qubit=noisy_qubit) for axis in axes]
     params = [make_params(theta) for theta in grid.thetas]
     shape = (len(measures), len(channels), len(params), len(grid.times))
@@ -171,10 +175,10 @@ def sweep(
 
     oracle = states = None
     if include_oracle:
-        initial = np.array([initial_state(p) for p in params])
+        initial = _initial_states(params)
         evolved = [kraus_apply(initial, channel, grid.times) for channel in channels]
         states = np.array(evolved).reshape(shape[1:] + (4, 4))
-        values = oracle_values(states.reshape(-1, 4, 4), measures, optimizer)
+        values = _stack_values(states.reshape(-1, 4, 4), measures, optimizer)
         oracle = np.array([values[name] for name in measures]).reshape(shape)
 
     return SweepTable(
@@ -213,15 +217,16 @@ class DeathTimeResult:
 def closed_death_time(params: StateParams, channel: ChannelSpec) -> Optional[float]:
     """(1/gamma) ln sqrt(xi/eta) for the x and z axes; None when no finite
     death exists (y axis, or sin theta = 0).  Below |sin theta| of about
-    1e-162, eta = sin^2(theta)/4 underflows to 0 although the death time is
-    finite, so there it is closed_death_time_trig's."""
+    1.05e-154, eta = sin^2(theta)/4 falls below about 2.8e-309 and xi/eta
+    overflows (below about 3.2e-162, eta underflows to 0) although the
+    death time is finite, so there it is closed_death_time_trig's."""
     if channel.axis == "y":
         return None
-    if params.eta == 0.0 and math.sin(params.theta) != 0.0:
-        return closed_death_time_trig(params.theta, channel.gamma)
-    if params.eta <= 0.0:
+    if params.eta > 0.0 and params.xi / params.eta < math.inf:
+        return math.log(math.sqrt(params.xi / params.eta)) / channel.gamma
+    if params.eta < 0.0 or math.sin(params.theta) == 0.0:
         return None
-    return math.log(math.sqrt(params.xi / params.eta)) / channel.gamma
+    return closed_death_time_trig(params.theta, channel.gamma)
 
 
 def closed_death_time_trig(theta: float, gamma: float = 1.0) -> float:

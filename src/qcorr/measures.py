@@ -24,8 +24,9 @@ evaluates its grid in blocks of (state, direction) pairs and its seeds from
 one batched SVD, then refines all states in rounds: each round evaluates
 eight compass points in the tangent plane for every state whose search is
 still running, as one array of those states alone, and each state keeps its
-own step, stopping rule and tie-breaks, and its tangent basis until it
-moves.  Diagnostics are built only for a one-state result that reports them.
+own step, stopping rule and tie-breaks, and its tangent basis and compass
+offsets until it moves.  Diagnostics are built only for a one-state result
+that reports them.
 Every kernel adds its terms in an order that does not depend on the stack,
 so a state's values are bit for bit the same alone or inside any stack.
 
@@ -642,12 +643,17 @@ def _optimize(
     starts from the grid alone.
 
     The compass rounds redo only what changed.  The running states'
-    direction, value, step, frame and tangent basis live in their own
-    compacted arrays, which shrink only in a round where some run ends; a
-    state keeps its basis until it moves, and a run that ends writes its
-    value, direction, rounds and last step back to its own row.  No
-    OptimizerDiagnostics is built here: _diagnostics builds one for a
-    result that reports it."""
+    direction, value, step, frame, tangent basis and compass offsets
+    _COMPASS @ (step * basis) live in their own compacted arrays, which
+    shrink only in a round where some run ends; a run that ends writes its
+    value, direction, rounds and last step back to its own row.  A state
+    keeps its basis until it moves.  In a round where no state moved, every
+    step is divided by 4 and the offsets are multiplied by 0.25, which
+    gives the bits of a rebuild while the offsets stay in the normal range
+    (the step does, down to about 7e-242 at the round cap with tolerance
+    0); in a round where some state moved, they are rebuilt with the
+    bases.  No OptimizerDiagnostics is built here: _diagnostics builds one
+    for a result that reports it."""
     m, b1 = _measurement_frame(r, measured_side)
     n = r.shape[0]
 
@@ -668,14 +674,15 @@ def _optimize(
 
     rounds, final_window = np.empty(n, dtype=int), np.empty(n)
     # the running states, compacted: row in the stack, frame (m, b1),
-    # direction, value, step and tangent basis
+    # direction, value, step, tangent basis and compass offsets
     at, d, v = np.arange(n), direction.copy(), value.copy()
     s = np.full(n, 3.6 / math.sqrt(settings.grid_points))
     basis = _tangent_basis(d)
+    offsets = _COMPASS @ (s[:, None, None] * basis)
     for done in range(_MAX_ROUNDS):
         if not len(at):
             break
-        candidates = d[:, None, :] + _COMPASS @ (s[:, None, None] * basis)
+        candidates = d[:, None, :] + offsets
         candidates /= _norm(candidates)
         # the centre and its eight points all read zero, the conditional
         # entropy's floor, to rounding: a move among them follows noise (on a
@@ -694,10 +701,14 @@ def _optimize(
             ended, rows = ~running, at[~running]
             value[rows], direction[rows] = v[ended], d[ended]
             rounds[rows], final_window[rows] = done + 1, last[ended]
-            at, m, b1, d, v, s, basis, moved = (
-                x[running] for x in (at, m, b1, d, v, s, basis, moved))
+            at, m, b1, d, v, s, basis, offsets, moved = (
+                x[running] for x in (at, m, b1, d, v, s, basis, offsets, moved))
         if moved.any():
             basis[moved] = _tangent_basis(d[moved])
+            offsets = _COMPASS @ (s[:, None, None] * basis)
+        else:
+            # every step was divided by 4, which scales its offsets exactly
+            offsets *= 0.25
     return value, _Runs(direction, rounds, final_window)
 
 
@@ -850,12 +861,20 @@ def oracle_values(
     """
     _check_names(names)
     rho = validate_density_matrix(rho)
-    stack = rho.reshape(-1, 4, 4)
+    values = _stack_values(rho.reshape(-1, 4, 4), names, settings)
+    if rho.ndim == 2:
+        return {name: float(v[0]) for name, v in values.items()}
+    return values
+
+
+def _stack_values(
+    stack: np.ndarray, names: Sequence[str], settings: OptimizerSettings | None
+) -> dict[str, np.ndarray]:
+    """oracle_values on an (n, 4, 4) complex stack already known to hold
+    states, which it does not validate again: the kernels, _STACK_CHUNK
+    states at a time, and one array of n values per measure."""
     parts = []
     for lo in range(0, max(len(stack), 1), _STACK_CHUNK):
         chunk = _Stack(stack[lo:lo + _STACK_CHUNK], "A", settings)
         parts.append([_finalize(_STACK_ORACLES[name](chunk)) for name in names])
-    values = {name: np.concatenate(column) for name, column in zip(names, zip(*parts))}
-    if rho.ndim == 2:
-        return {name: float(v[0]) for name, v in values.items()}
-    return values
+    return {name: np.concatenate(column) for name, column in zip(names, zip(*parts))}

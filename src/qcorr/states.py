@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +34,9 @@ __all__ = [
 
 # the largest |theta| for which cos(2 theta) has a finite argument
 _THETA_MAX = sys.float_info.max / 2.0
-_BELL_PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
-_BELL_PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+# the two Bell projectors the family mixes, |psi-><psi-| and |phi+><phi+|
+_PSI_MINUS, _PHI_PLUS = (np.outer(v, v.conj()) for v in
+                         np.array([[0, 1, -1, 0], [1, 0, 0, 1]], dtype=complex) / np.sqrt(2))
 
 
 class InvalidStateError(ValueError):
@@ -74,12 +75,19 @@ def make_params(theta: float) -> StateParams:
 
 
 def initial_state(params: StateParams | float) -> np.ndarray:
-    """Density matrix of the initial family member."""
+    """Density matrix of the initial family member: the one-member case of
+    _initial_states, with the same bits."""
     if not isinstance(params, StateParams):
         params = make_params(params)
-    rho = 2.0 * params.xi * np.outer(_BELL_PSI_MINUS, _BELL_PSI_MINUS.conj()) + \
-        2.0 * params.eta * np.outer(_BELL_PHI_PLUS, _BELL_PHI_PLUS.conj())
-    return validate_density_matrix(rho)
+    return _initial_states([params])[0]
+
+
+def _initial_states(params: Sequence[StateParams]) -> np.ndarray:
+    """The (n, 4, 4) stack of initial family members for n params, formed
+    in one broadcast and validated once as a stack."""
+    xi = np.array([p.xi for p in params]).reshape(-1, 1, 1)
+    eta = np.array([p.eta for p in params]).reshape(-1, 1, 1)
+    return validate_density_matrix(2.0 * xi * _PSI_MINUS + 2.0 * eta * _PHI_PLUS)
 
 
 @dataclass(frozen=True)

@@ -343,6 +343,36 @@ def test_rk4_propagator_matches_the_step_loop(steps):
                 assert np.abs(integrate_rk4(rho, ch, t, steps) - want).max() <= 1e-13
 
 
+def rk4_per_basis(rho0, channel, t, steps):
+    """integrate_rk4 with its generator built from 16 lindblad_rhs calls,
+    one per basis matrix, as column k of A."""
+    hA = (t / steps) * np.stack(
+        [lindblad_rhs(basis, channel).ravel() for basis in np.eye(16).reshape(16, 4, 4)], axis=1)
+    term = P = np.eye(16, dtype=complex)
+    for k in range(1, 5):
+        term = term @ hA / k
+        P = P + term
+    rho = (np.linalg.matrix_power(P, steps) @ np.asarray(rho0, dtype=complex).ravel()).reshape(4, 4)
+    return (rho + rho.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.37, 1e-3, 250.0])
+def test_rk4_generator_from_one_stacked_call_keeps_the_bits(gamma):
+    # the 16 basis matrices go through lindblad_rhs as one stack; the
+    # propagator, and so the result, keeps the bytes of 16 separate calls
+    rng = np.random.default_rng(59)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    full_rank = g @ g.conj().T / np.trace(g @ g.conj().T).real
+    for rho in (initial_state(0.7), full_rank):
+        for axis in "xyz":
+            for qubit in "AB":
+                ch = ChannelSpec(axis=axis, gamma=gamma, qubit=qubit)
+                for t, steps in ((0.01, 3), (0.5, 7), (1.0, 1000)):
+                    if steps >= gamma * t:
+                        got = integrate_rk4(rho, ch, t, steps)
+                        assert got.tobytes() == rk4_per_basis(rho, ch, t, steps).tobytes()
+
+
 def test_rk4_argument_validation():
     rho = initial_state(1.0)
     ch = ChannelSpec(axis="x")

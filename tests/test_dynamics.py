@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcorr import dynamics, measures
+from qcorr import dynamics, measures, states
 from qcorr.channels import ChannelSpec, analytic_evolve, kraus_apply
 from qcorr.dynamics import (
     MEASURE_NAMES,
@@ -28,6 +28,7 @@ from qcorr.measures import (
     concurrence_closed,
     geometric_discord,
     geometric_discord_closed,
+    oracle_values,
     quantum_discord,
     quantum_discord_closed,
     quantum_discord_xz_expanded,
@@ -500,13 +501,42 @@ def test_closed_death_time_forms_agree():
         closed_death_time_trig(0.0)
 
 
-@pytest.mark.parametrize("theta", [1e-3, 1e-20, 1e-77, 1e-78, 1e-120, 1e-150])
+@pytest.mark.parametrize("theta", [1e-3, 1e-20, 1e-77, 1e-78, 1e-120, 1e-150,
+                                   1e-154, -1e-154, 1.05e-154, 1e-155, 1e-158, 1e-160])
 def test_trig_death_time_stays_finite_and_agrees_at_small_angles(theta):
     # the squared form overflowed below |sin theta| ~ 1e-77 and divided by
-    # zero below ~1e-162; both closed forms are exact down to eta = 2.5e-301
+    # zero below ~1e-162; both closed forms are exact down to eta = 2.5e-301,
+    # and below |sin theta| ~ 1.05e-154, where xi/eta overflows, the log form
+    # is the trig form's
     for angle in (theta, math.pi - theta):
         expected = closed_death_time(make_params(angle), ChannelSpec(axis="z"))
+        assert math.isfinite(expected)
         assert closed_death_time_trig(angle) == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("theta", [1e-154, 1.05e-154, 1e-155, 1e-158, 1e-160, 5e-162])
+def test_closed_death_time_is_the_trig_form_where_xi_over_eta_overflows(theta):
+    # eta is nonzero here, but xi/eta overflows, and ln sqrt(inf) read inf
+    assert make_params(theta).eta > 0.0
+    assert make_params(theta).xi / make_params(theta).eta == math.inf
+    for angle in (theta, -theta):
+        for axis in ("x", "z"):
+            for gamma in (1.0, 4.0):
+                got = closed_death_time(make_params(angle), ChannelSpec(axis=axis, gamma=gamma))
+                assert got == closed_death_time_trig(angle, gamma)
+    assert closed_death_time(make_params(theta), ChannelSpec(axis="y")) is None
+    if theta == 1e-155:
+        assert closed_death_time(make_params(theta), ChannelSpec(axis="z")) == 357.247263004357
+
+
+@pytest.mark.parametrize("theta", [1.06e-154, 3e-154])
+def test_closed_death_time_keeps_its_log_form_just_above_the_overflow(theta):
+    # xi/eta is finite, so the log form answers, with the trig form's bits
+    params = make_params(theta)
+    assert params.xi / params.eta < math.inf
+    got = closed_death_time(params, ChannelSpec(axis="z"))
+    assert got == math.log(math.sqrt(params.xi / params.eta))
+    assert got == closed_death_time_trig(theta)
 
 
 @pytest.mark.parametrize("theta", [1e-163, 1e-200, 1e-300, 5e-324])
@@ -713,6 +743,26 @@ def test_oracle_sweep_hands_back_its_states():
             assert none.oracle.shape == (0, 3, 2, 3) and none.states.shape == (3, 2, 3, 4, 4)
 
 
+def test_oracle_sweep_validates_its_starts_once_and_not_the_evolved_stack(monkeypatch):
+    shapes = []
+
+    def counting(rho):
+        shapes.append(np.shape(rho))
+        return validate(rho)
+
+    validate = states.validate_density_matrix
+    for module in (states, measures):
+        monkeypatch.setattr(module, "validate_density_matrix", counting)
+    grid = SweepGrid(thetas=(0.4, 1.1, 2.2), times=(0.0, 0.7))
+    table = sweep(grid, measures=MEASURE_NAMES, include_oracle=True)
+    assert shapes == [(3, 4, 4)]
+    # the kernels read the evolved stack as oracle_values, which validates it, does
+    monkeypatch.undo()
+    values = oracle_values(table.states.reshape(-1, 4, 4), MEASURE_NAMES)
+    for m, name in enumerate(MEASURE_NAMES):
+        assert table.oracle[m].tobytes() == values[name].reshape(table.oracle[m].shape).tobytes()
+
+
 def test_verify_checks_the_discord_oracle_near_the_sudden_change(monkeypatch):
     # 16 states within 1e-5 decay times of t_sc, where the compass search
     # from the grid alone crept to its round cap before its steps could grow
@@ -882,7 +932,7 @@ def test_every_x_and_z_term_is_checked(monkeypatch, column, measure):
 
 @pytest.mark.parametrize("theta", [1e-163, 1e-200])
 def test_closed_death_time_is_finite_where_eta_underflows(theta):
-    # eta = sin^2(theta)/4 is 0 below |sin theta| ~ 1e-162, where this
+    # eta = sin^2(theta)/4 is 0 below |sin theta| ~ 3.2e-162, where this
     # returned None although the family still dies at a finite time
     assert make_params(theta).eta == 0.0
     for angle in (theta, -theta):

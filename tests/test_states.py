@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qcorr import states
 from qcorr.states import (
     InvalidStateError,
     bloch_decompose,
@@ -54,6 +55,29 @@ def test_initial_state_is_bell_mixture():
             PHI_PLUS, PHI_PLUS.conj()
         )
         np.testing.assert_allclose(initial_state(p), expected, atol=1e-15)
+
+
+_EDGE_THETAS = [0.0, 1e-300, 1e-155, math.pi / 8, math.pi / 2, math.pi - 1e-9, math.pi, -0.7]
+
+
+def test_stacked_starts_equal_the_one_member_calls_byte_for_byte(monkeypatch):
+    params = [make_params(theta) for theta in _EDGE_THETAS]
+    shapes = []
+
+    def counting(rho):
+        shapes.append(np.shape(rho))
+        return validate(rho)
+
+    validate = states.validate_density_matrix
+    monkeypatch.setattr(states, "validate_density_matrix", counting)
+    stack = states._initial_states(params)
+    assert shapes == [(len(params), 4, 4)]
+    for p, rho in zip(params, stack):
+        assert rho.tobytes() == initial_state(p).tobytes()
+        # the sum of the two scaled projectors, as one state alone forms it
+        alone = 2.0 * p.xi * np.outer(PSI_MINUS, PSI_MINUS.conj()) + 2.0 * p.eta * np.outer(
+            PHI_PLUS, PHI_PLUS.conj())
+        assert rho.tobytes() == alone.tobytes()
 
 
 def test_initial_state_matrix_entries():
